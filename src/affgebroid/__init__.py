@@ -22,7 +22,7 @@ from .errors import (
     UnknownFunctionError,
     UnknownVariableError,
 )
-from .expressions import Dual2, ScalarField, constant_field, derive_field, parse
+from .expressions import ScalarField, constant_field, derive_field, parse
 from .flow import integrate_rk4, integrate_rk45
 from .hamiltonian import HamiltonianSystem, hamilton_vector_field
 from .lagrangian import LagrangianSystem, el_vector_field
@@ -45,7 +45,6 @@ __all__ = [
     "Chart",
     "ConfigError",
     "DomainError",
-    "Dual2",
     "EvaluationError",
     "HamiltonianSystem",
     "JacobiViolation",

@@ -8,9 +8,11 @@ before the algebra block and whose structure functions are emitted as
 expression trees, so validation and expansion treat them exactly like
 hand-written ones.  The *_equations_check functions then pit the generic
 engines run on that model against the reduced equations of motion
-assembled directly from curvature and bracket values; the two code paths
-share nothing but the input fields, which is what makes agreement a real
-certificate of the reduction table.
+assembled directly from curvature and bracket values.  Both routes take the
+derivatives of the connection coefficients from the one symbolic engine
+(_diff, guarded against finite differences by its own property test); apart
+from that they share only the input fields, so agreement certifies the
+reduction table: curvature assembly, bracket twist, fibre packing and signs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .expressions import (
     Num,
     ScalarField,
     _fold,
+    _is_zero,
     _norm_const,
     constant_field,
     derive_field,
@@ -169,10 +172,13 @@ class CurvatureData:
 
 
 def curvature(spec, x):
-    """Curvature of the connection at a base point, derivatives taken by AD.
+    """Curvature of the connection at a base point, assembled from values
+    and gradients of the connection coefficients.
 
-    Independent of the expression trees reduce() emits; the checks below rely
-    on that split.
+    The gradients come from the same _diff as the trees reduce() emits; the
+    assembly (which derivative pairs with which, the bracket term, signs) is
+    written independently of _curvature_fields, and the checks below rely on
+    that split.
     """
     x = np.asarray(x, float)
     m, r = spec.spatial_dim, spec.algebra_dim
@@ -274,10 +280,6 @@ def _curvature_fields(spec):
                 row.append(ScalarField(_fold(node), names))
             bij[(i, j)] = row
     return b0i, bij
-
-
-def _is_zero(node):
-    return type(node) is Num and node.value == 0.0
 
 
 def reduce(spec):

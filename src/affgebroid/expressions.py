@@ -10,12 +10,14 @@ Grammar (infix, left associative except '^'):
 Unary minus binds looser than '^', so -x^2 means -(x^2).  Builtin functions:
 sin cos tan exp log sqrt abs.  Constants: pi, e (reserved, cannot be variables).
 
-Derivatives come in two independent flavors so one can check the other:
-forward-mode second order automatic differentiation on Dual2 numbers, and
-plain central finite differences (fd_grad / fd_hess).
+Derivatives are exact and symbolic: derive_field differentiates the tree and
+folds constants, each field caches its partials (and their partials for the
+Hessian), and the same float evaluator runs the value and derivative trees.
+Central finite differences (fd_grad / fd_hess) stay as the independent check.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -301,182 +303,6 @@ def to_source(node, min_prec=0):
 
 
 # ---------------------------------------------------------------------------
-# dual numbers carrying value, gradient and (optionally) dense Hessian
-
-class Dual2:
-    """Forward-mode jet: value, gradient over the active variables, and a
-    symmetric Hessian.  hess=None selects a gradient-only mode used internally
-    where second derivatives are not needed; public entry points always carry
-    the Hessian."""
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad, hess=None):
-        self.val = float(val)
-        self.grad = grad
-        self.hess = hess
-
-    @staticmethod
-    def constant(value, nactive, second=True):
-        h = np.zeros((nactive, nactive)) if second else None
-        return Dual2(value, np.zeros(nactive), h)
-
-    @staticmethod
-    def variable(value, index, nactive, second=True):
-        g = np.zeros(nactive)
-        g[index] = 1.0
-        h = np.zeros((nactive, nactive)) if second else None
-        return Dual2(value, g, h)
-
-    def _like(self, value):
-        n = self.grad.shape[0]
-        return Dual2.constant(value, n, self.hess is not None)
-
-    def _chain(self, f0, f1, f2):
-        # composition with a scalar function: f(v), f'(v) g, f'(v) H + f''(v) g g^T
-        g = f1 * self.grad
-        if self.hess is None:
-            return Dual2(f0, g, None)
-        h = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        return Dual2(f0, g, h)
-
-    def __add__(self, other):
-        if not isinstance(other, Dual2):
-            return Dual2(self.val + other, self.grad, self.hess)
-        h = None
-        if self.hess is not None and other.hess is not None:
-            h = self.hess + other.hess
-        return Dual2(self.val + other.val, self.grad + other.grad, h)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, Dual2):
-            return Dual2(self.val - other, self.grad, self.hess)
-        h = None
-        if self.hess is not None and other.hess is not None:
-            h = self.hess - other.hess
-        return Dual2(self.val - other.val, self.grad - other.grad, h)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        h = None if self.hess is None else -self.hess
-        return Dual2(-self.val, -self.grad, h)
-
-    def __mul__(self, other):
-        if not isinstance(other, Dual2):
-            h = None if self.hess is None else self.hess * other
-            return Dual2(self.val * other, self.grad * other, h)
-        g = self.val * other.grad + other.val * self.grad
-        h = None
-        if self.hess is not None and other.hess is not None:
-            cross = np.outer(self.grad, other.grad)
-            h = self.val * other.hess + other.val * self.hess + cross + cross.T
-        return Dual2(self.val * other.val, g, h)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        v = self.val
-        if v == 0.0:
-            raise DomainError("division by zero")
-        return self._chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
-
-    def __truediv__(self, other):
-        if not isinstance(other, Dual2):
-            if other == 0.0:
-                raise DomainError("division by zero")
-            return self * (1.0 / other)
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def __pow__(self, expo):
-        if isinstance(expo, Dual2):
-            flat = not expo.grad.any() and (expo.hess is None or not expo.hess.any())
-            if flat and float(expo.val).is_integer():
-                return self._int_pow(int(expo.val))
-            if self.val <= 0.0:
-                raise DomainError(
-                    "x^y with varying exponent needs x > 0, got x=%r" % self.val
-                )
-            return (expo * self.log()).exp()
-        e = float(expo)
-        if e.is_integer():
-            return self._int_pow(int(e))
-        v = self.val
-        if v <= 0.0:
-            raise DomainError("x^%r needs x > 0, got x=%r" % (e, v))
-        try:
-            return self._chain(
-                math.pow(v, e),
-                e * math.pow(v, e - 1.0),
-                e * (e - 1.0) * math.pow(v, e - 2.0),
-            )
-        except OverflowError:
-            raise DomainError("pow overflow: %r^%r" % (v, e)) from None
-
-    def _int_pow(self, k):
-        # by squaring so that 0^k stays exactly 0 for k > 0
-        if k < 0:
-            return self._int_pow(-k).reciprocal()
-        out = self._like(1.0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def sin(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._chain(c, -s, -c)
-
-    def tan(self):
-        t = math.tan(self.val)
-        f1 = 1.0 + t * t
-        return self._chain(t, f1, 2.0 * t * f1)
-
-    def exp(self):
-        try:
-            x = math.exp(self.val)
-        except OverflowError:
-            raise DomainError("exp overflow at %r" % self.val) from None
-        return self._chain(x, x, x)
-
-    def log(self):
-        v = self.val
-        if v <= 0.0:
-            raise DomainError("log needs a positive argument, got %r" % v)
-        return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-
-    def sqrt(self):
-        v = self.val
-        if v <= 0.0:
-            raise DomainError("sqrt differentiable only for positive arguments, got %r" % v)
-        r = math.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * v))
-
-    def absval(self):
-        v = self.val
-        if v == 0.0:
-            raise DomainError("abs not differentiable at 0")
-        s = 1.0 if v > 0.0 else -1.0
-        return self._chain(abs(v), s, 0.0)
-
-    def __repr__(self):
-        return "Dual2(%r, %r, %r)" % (self.val, self.grad, self.hess)
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 def _float_fn(name, v):
@@ -523,29 +349,12 @@ def _eval(node, env):
         if op == "*":
             return a * b
         if op == "/":
-            if not isinstance(b, Dual2) and not isinstance(a, Dual2) and b == 0.0:
+            if b == 0.0:
                 raise DomainError("division by zero")
-            if isinstance(b, Dual2) or isinstance(a, Dual2):
-                if isinstance(a, Dual2):
-                    return a / b
-                return b.__rtruediv__(a)
             return a / b
-        # op == '^'
-        if isinstance(a, Dual2):
-            return a ** b
-        if isinstance(b, Dual2):
-            # constant base, varying exponent
-            if a <= 0.0:
-                raise DomainError("x^y with varying exponent needs x > 0, got x=%r" % a)
-            return (b * math.log(a)).exp()
         return _float_pow(a, b)
     # t is Call
-    v = _eval(node.arg, env)
-    if isinstance(v, Dual2):
-        if node.fn == "abs":
-            return v.absval()
-        return getattr(v, node.fn)()
-    return _float_fn(node.fn, v)
+    return _float_fn(node.fn, _eval(node.arg, env))
 
 
 def _float_pow(a, b):
@@ -580,15 +389,19 @@ def _collect_vars(node, out):
         _collect_vars(node.arg, out)
 
 
+Derivatives = namedtuple("Derivatives", "val grad hess")
+
+
 class ScalarField:
     """A parsed expression bound to an ordered variable list."""
 
-    __slots__ = ("ast", "variables", "_source")
+    __slots__ = ("ast", "variables", "_source", "_partials")
 
     def __init__(self, ast, variables):
         self.ast = ast
         self.variables = tuple(variables)
         self._source = None
+        self._partials = [None] * len(self.variables)
 
     @property
     def source(self):
@@ -607,11 +420,14 @@ class ScalarField:
             env[name] = v
         return env
 
-    def eval(self, values):
-        out = _eval(self.ast, self._env([float(v) for v in values]))
+    def _value(self, env):
+        out = _eval(self.ast, env)
         if not math.isfinite(out):
             raise DomainError("non-finite result %r from %r" % (out, self.source))
         return out
+
+    def eval(self, values):
+        return self._value(self._env([float(v) for v in values]))
 
     def __call__(self, *values):
         return self.eval(values)
@@ -627,36 +443,44 @@ class ScalarField:
                 idx.append(int(a))
         return idx
 
-    def _dual_eval(self, values, active, second):
-        values = [float(v) for v in values]
+    def _partial(self, j):
+        """d(self)/d(variables[j]), built by derive_field on first use."""
+        d = self._partials[j]
+        if d is None:
+            d = self._partials[j] = derive_field(self, self.variables[j])
+        return d
+
+    def _derivatives(self, values, active, second):
+        # one environment for the value tree and every derivative tree; the
+        # Hessian is read from the upper triangle and mirrored, so it is
+        # exactly symmetric
+        env = self._env([float(v) for v in values])
+        val = self._value(env)
         idx = self._active_indices(active)
+        firsts = [self._partial(j) for j in idx]
+        grad = np.array([_eval(d.ast, env) for d in firsts], dtype=float)
+        if not second:
+            return Derivatives(val, grad, None)
         k = len(idx)
-        env = dict(_CONSTANTS)
-        pos = {j: slot for slot, j in enumerate(idx)}
-        for j, (name, v) in enumerate(zip(self.variables, values)):
-            if j in pos:
-                env[name] = Dual2.variable(v, pos[j], k, second)
-            else:
-                env[name] = v
-        out = _eval(self.ast, env)
-        if not isinstance(out, Dual2):
-            out = Dual2.constant(out, k, second)
-        if not math.isfinite(out.val):
-            raise DomainError("non-finite result %r from %r" % (out.val, self.source))
-        return out
+        hess = np.empty((k, k))
+        for s1, d in enumerate(firsts):
+            for s2 in range(s1, k):
+                hess[s1, s2] = hess[s2, s1] = _eval(d._partial(idx[s2]).ast, env)
+        return Derivatives(val, grad, hess)
 
     def eval_dual2(self, values, active=None):
         """Value, gradient and Hessian with respect to the active variables
-        (all of them by default), as a Dual2."""
-        return self._dual_eval(values, active, True)
+        (all of them by default), as a Derivatives triple (val, grad, hess)."""
+        return self._derivatives(values, active, True)
 
     def value_grad(self, values, active=None):
-        """Gradient-only fast path; returns (value, gradient array)."""
-        d = self._dual_eval(values, active, False)
+        """Value and gradient only; returns (value, gradient array)."""
+        d = self._derivatives(values, active, False)
         return d.val, d.grad
 
     def fd_grad(self, values, active=None, step=1e-5):
-        """Central finite-difference gradient, the independent check on AD."""
+        """Central finite-difference gradient, the independent check on the
+        symbolic derivatives."""
         base = [float(v) for v in values]
         idx = self._active_indices(active)
         g = np.zeros(len(idx))
@@ -741,8 +565,9 @@ def constant_field(value, variables):
 # ---------------------------------------------------------------------------
 # symbolic derivative with constant folding
 #
-# Used by the bundle-reduction builder, which must emit derivative expressions
-# as first-class fields (they get parsed-grade ASTs, AD, and pretty printing).
+# The one derivative engine: ScalarField caches the partials built here for
+# its gradients and Hessians, and the bundle-reduction builder emits them as
+# first-class fields (parsed-grade ASTs, derivatives and pretty printing).
 # Parsed user input is never simplified; folding applies only to trees built
 # here.
 
@@ -824,6 +649,10 @@ def _fold(node):
     return Bin(op, a, b)
 
 
+def _is_zero(node):
+    return type(node) is Num and node.value == 0.0
+
+
 def _norm_const(v):
     # negative literals print as unary minus so folded trees stay reparseable
     if v < 0.0:
@@ -852,12 +681,12 @@ def _diff(node, name):
         if op == "/":
             num = Bin("-", Bin("*", da, b), Bin("*", a, db))
             return Bin("/", num, Bin("^", b, Num(2.0)))
-        # power rule; general case via a^b = exp(b log a)
-        if type(b) is Num:
-            k = b.value
-            return Bin(
-                "*", Bin("*", Num(k), Bin("^", a, Num(k - 1.0))), da
-            )
+        # power rule while the exponent does not vary with name, which keeps
+        # integer powers of a non-positive base differentiable; otherwise
+        # through a^b = exp(b log a)
+        if _is_zero(_fold(db)):
+            bm1 = Num(b.value - 1.0) if type(b) is Num else Bin("-", b, Num(1.0))
+            return Bin("*", Bin("*", b, Bin("^", a, bm1)), da)
         term1 = Bin("*", db, Call("log", a))
         term2 = Bin("/", Bin("*", b, da), a)
         return Bin("*", node, Bin("+", term1, term2))

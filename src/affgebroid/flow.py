@@ -68,7 +68,8 @@ def integrate_rk4(f, state0, t0, t1, dt):
         _check_finite(state, step, t)
         times.append(t)
         states.append(state.copy())
-    return Trajectory(np.array(times), np.array(states), {"method": "rk4", "dt": dt})
+    meta = {"method": "rk4", "dt": dt, "evals": 4 * step}
+    return Trajectory(np.array(times), np.array(states), meta)
 
 
 # Dormand-Prince 5(4) tableau
@@ -100,10 +101,10 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
     times = [t]
     states = [state.copy()]
     if span == 0.0:
-        return Trajectory(np.array(times), np.array(states), {"method": "rk45"})
+        return Trajectory(np.array(times), np.array(states), {"method": "rk45", "evals": 0})
     h = span / 100.0
     floor = 1e-14 * span
-    nstep = 0
+    nevals = 0
     naccept = 0
     # overflow inside trial stages is handled by rejection, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,6 +116,7 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
                 raise StepUnderflow("step %g below floor %g at t=%.6g" % (h, floor, t))
             k = np.empty((7, state.size))
             k[0] = f(state)
+            nevals += 1
             bad = False
             for i in range(1, 7):
                 y = state + h * (np.array(_DP_A[i]) @ k[:i])
@@ -122,7 +124,7 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
                     bad = True
                     break
                 k[i] = f(y)
-            nstep += 1
+                nevals += 1
             if bad or not np.all(np.isfinite(k)):
                 h *= 0.2
                 continue
@@ -145,7 +147,7 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
     return Trajectory(
         np.array(times),
         np.array(states),
-        {"method": "rk45", "rtol": rtol, "atol": atol, "evals": nstep},
+        {"method": "rk45", "rtol": rtol, "atol": atol, "evals": nevals},
     )
 
 

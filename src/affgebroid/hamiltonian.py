@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ScalarField, parse
-from .lagrangian import bordered_volume_det
+from .lagrangian import _unit, _wedge, bordered_volume_det
 
 
 class HamiltonianSystem:
@@ -60,16 +60,6 @@ class CosymplecticData:
     volume: float
 
 
-def _unit(dim, i):
-    u = np.zeros(dim)
-    u[i] = 1.0
-    return u
-
-
-def _wedge(a, b):
-    return np.outer(a, b) - np.outer(b, a)
-
-
 def omega_h(sys, point):
     """Hamiltonian 2-form at a point of the dual bundle."""
     x, p = point.x, point.p
@@ -97,9 +87,13 @@ def reeb_section(sys, point):
     x, p = point.x, point.p
     s = sys.model.structure_at(x)
     dhdx, dhdp = sys.grad(x, p)
-    twist = np.einsum("abg,g,b->a", s.c, p, dhdp)
-    vert = -(twist + s.rho @ dhdx - s.c0 @ p)
-    return np.concatenate([[1.0], dhdp, vert])
+    return np.concatenate([[1.0], dhdp, momentum_rate(s, dhdx, dhdp, p)])
+
+
+def momentum_rate(s, dhdx, dhdp, p):
+    """pdot = - rho dH/dx + C_0 p + momentum twist C_ba^g (dH/dp_b) p_g, from
+    the structure values s at the base point."""
+    return -(s.rho @ dhdx) + s.c0 @ p + np.einsum("bag,b,g->a", s.c, dhdp, p)
 
 
 def hamilton_vector_field(sys):
@@ -112,8 +106,7 @@ def hamilton_vector_field(sys):
         s = sys.model.structure_at(x)
         dhdx, dhdp = sys.grad(x, p)
         xdot = s.rho0 + dhdp @ s.rho
-        pdot = -(s.rho @ dhdx) + s.c0 @ p + np.einsum("bag,b,g->a", s.c, dhdp, p)
-        return np.concatenate([xdot, pdot])
+        return np.concatenate([xdot, momentum_rate(s, dhdx, dhdp, p)])
 
     return field
 

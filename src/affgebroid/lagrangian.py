@@ -44,15 +44,21 @@ class LagrangianSystem:
         return self.lagrangian.eval_dual2(point, active=names).hess
 
 
-def solve_fibre_hessian(w, rhs, n):
-    """LU solve guarded by the singularity threshold
-    |det W| < 1e-12 * max(1, ||W||_inf^n)."""
-    det = float(np.linalg.det(w))
-    norm = float(np.linalg.norm(w, np.inf))
-    if abs(det) < 1e-12 * max(1.0, norm ** n):
-        raise SingularLagrangian(
-            "fibre Hessian singular: |det| = %.3e against norm %.3e" % (abs(det), norm)
-        )
+def _regularity(w):
+    """The regularity rule, shared by every solve and by is_regular: W is
+    regular when its condition number is below 1e12, which rescaling L leaves
+    unchanged.  Returns (flag, condition number); a W with a non-finite entry
+    counts as singular."""
+    cond = float(np.linalg.cond(w)) if np.isfinite(w).all() else float("inf")
+    return cond < 1e12, cond
+
+
+def solve_fibre_hessian(w, rhs):
+    """Linear solve with the fibre Hessian, refused when W is singular under
+    the regularity rule."""
+    ok, cond = _regularity(w)
+    if not ok:
+        raise SingularLagrangian("fibre Hessian singular: condition number %.3e" % cond)
     return np.linalg.solve(w, rhs)
 
 
@@ -78,6 +84,12 @@ class CartanData:
     hessian: np.ndarray
 
 
+def _unit(dim, i):
+    u = np.zeros(dim)
+    u[i] = 1.0
+    return u
+
+
 def _wedge(a, b):
     return np.outer(a, b) - np.outer(b, a)
 
@@ -85,10 +97,7 @@ def _wedge(a, b):
 def momentum_equation_rhs(sys, x, y):
     """Right side of the momentum form of the dynamics:
     d/dt (dL/dy^a) = rho_a^i dL/dx^i + (C_0a^g + C_ba^g y^b) dL/dy^g."""
-    s = sys.model.structure_at(x)
-    _, dldx, dldy, _, _ = sys.derivs(x, y)
-    coupling = s.c0 + np.einsum("b,bag->ag", np.asarray(y, float), s.c)
-    return s.rho @ dldx + coupling @ dldy
+    return _dynamics_pieces(sys, x, y)[-1]
 
 
 def _dynamics_pieces(sys, x, y):
@@ -117,19 +126,9 @@ def cartan_data(sys, point, xi0=None):
     xi0 = np.asarray(xi0, dtype=float)
 
     dim = 2 * n + 1
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    theta = []
-    psi = []
-    for a in range(n):
-        ta = np.zeros(dim)
-        ta[1 + a] = 1.0
-        ta -= y[a] * e0
-        theta.append(ta)
-        pa = np.zeros(dim)
-        pa[1 + n + a] = 1.0
-        pa -= xi0[a] * e0
-        psi.append(pa)
+    e0 = _unit(dim, 0)
+    theta = [_unit(dim, 1 + a) - y[a] * e0 for a in range(n)]
+    psi = [_unit(dim, 1 + n + a) - xi0[a] * e0 for a in range(n)]
 
     # coefficient of theta^a wedge e^0; equals W (xi0 - xi) on solutions
     a_coeff = vel @ d2xy + w @ xi0 - rhs
@@ -154,22 +153,15 @@ def cartan_data(sys, point, xi0=None):
 def is_regular(sys, point):
     """Regularity of L at a point: nonsingular fibre Hessian.  Returns
     (flag, condition number)."""
-    w = sys.fibre_hessian(point.x, point.y)
-    n = sys.model.chart.fibre_dim
-    det = float(np.linalg.det(w))
-    norm = float(np.linalg.norm(w, np.inf))
-    singular = abs(det) < 1e-12 * max(1.0, norm ** n)
-    cond = float(np.linalg.cond(w)) if not singular else float("inf")
-    return (not singular, cond)
+    return _regularity(sys.fibre_hessian(point.x, point.y))
 
 
 def el_section(sys, point):
     """Dynamics section at a point: components (1, y^a, xi^a) on the
     prolongation basis.  Requires a regular Lagrangian."""
     x, y = point.x, point.y
-    n = sys.model.chart.fibre_dim
     _, _, _, d2xy, w, vel, rhs = _dynamics_pieces(sys, x, y)[1:]
-    xi = solve_fibre_hessian(w, rhs - vel @ d2xy, n)
+    xi = solve_fibre_hessian(w, rhs - vel @ d2xy)
     return np.concatenate([[1.0], y, xi])
 
 
@@ -177,12 +169,11 @@ def el_vector_field(sys):
     """Autonomous field on (x, y) space integrating the dynamics:
     xdot = anchor drift, ydot = xi from the momentum equation."""
     m = sys.model.chart.dim_base
-    n = sys.model.chart.fibre_dim
 
     def field(state):
         x, y = state[:m], state[m:]
         s, _, _, _, d2xy, w, vel, rhs = _dynamics_pieces(sys, x, y)
-        xi = solve_fibre_hessian(w, rhs - vel @ d2xy, n)
+        xi = solve_fibre_hessian(w, rhs - vel @ d2xy)
         return np.concatenate([vel, xi])
 
     return field

@@ -78,7 +78,7 @@ def leg_inverse(sys, v, guess=None, params=None):
 
     def fun_jac(y):
         _, _, dldy, _, w = sys.derivs(x, y)
-        return dldy - p, lambda r: solve_fibre_hessian(w, r, n)
+        return dldy - p, lambda r: solve_fibre_hessian(w, r)
 
     y0 = np.zeros(n) if guess is None else np.array(guess, dtype=float)
     return APoint(x, _newton(fun_jac, y0, params))

@@ -269,6 +269,9 @@ class AffgebroidModel:
             c[b - 1, a - 1, :] = -vals
         out = StructureValues(rho0, rho, c0, c)
         if self._const:
+            # every later call hands out these arrays, so nobody may write them
+            for arr in (rho0, rho, c0, c):
+                arr.flags.writeable = False
             self._cache = out
         return out
 

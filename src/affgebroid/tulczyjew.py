@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Trajectory, time_derivative
+from .hamiltonian import momentum_rate
 from .lagrangian import momentum_equation_rhs
 from .legendre import NewtonParams, leg_inverse
 from .model import APoint, JetPoint, PhasePoint, VStarPoint
@@ -129,8 +130,7 @@ def s_h_point(sys, q):
     the momentum-side double point carried by the Reeb motion at q."""
     s = sys.model.structure_at(q.x)
     dhdx, dhdp = sys.grad(q.x, q.p)
-    pdot = -(s.rho @ dhdx) + s.c0 @ q.p + np.einsum("bag,b,g->a", s.c, dhdp, q.p)
-    return PhasePoint(q.x.copy(), q.p.copy(), dhdp, pdot)
+    return PhasePoint(q.x.copy(), q.p.copy(), dhdp, momentum_rate(s, dhdx, dhdp, q.p))
 
 
 def lift_hamilton_trajectory(sys, traj):

@@ -255,6 +255,14 @@ def test_check_atiyah_skipped_for_plain_structure(capsys):
     assert "SKIP" in capsys.readouterr().out
 
 
+def test_check_all_validates_plain_structure(capsys):
+    assert main(["check", BROKEN, "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    row = [ln for ln in lines if ln.startswith("structure_validate")]
+    assert len(row) == 1 and row[0].endswith("FAIL")
+    assert lines[-1] == "FAIL"
+
+
 def test_atiyah_expand_round_trip(tmp_path, capsys):
     out = str(tmp_path / "expanded.json")
     assert main(["atiyah-expand", MAGNETIC, "--out", out]) == 0

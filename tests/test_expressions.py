@@ -13,9 +13,9 @@ from affgebroid.errors import (
 from affgebroid.expressions import (
     Bin,
     Call,
-    Dual2,
     Neg,
     Num,
+    ScalarField,
     Var,
     derive_field,
     parse,
@@ -221,6 +221,29 @@ def _trees(depth):
 @given(_trees(4))
 def test_roundtrip_property(tree):
     assert _parse_source(to_source(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _trees(3),
+    st.lists(st.floats(min_value=0.3, max_value=1.7), min_size=5, max_size=5),
+)
+def test_symbolic_derivatives_match_fd_property(tree, point):
+    f = ScalarField(tree, ["x", "y", "z", "q", "p1"])
+    try:
+        v, g = f.value_grad(point)
+        d = f.eval_dual2(point)
+        fg = f.fd_grad(point)
+        fh = f.fd_hess(point)
+    except DomainError:
+        return  # a domain boundary within reach of the point or the stencil
+    assert v == d.val == f.eval(point)
+    assert np.array_equal(g, d.grad)
+    assert np.array_equal(d.hess, d.hess.T)
+    scale_g = max(1.0, float(np.max(np.abs(fg))))
+    scale_h = max(1.0, float(np.max(np.abs(fh))))
+    assert np.max(np.abs(d.grad - fg)) / scale_g < 1e-6
+    assert np.max(np.abs(d.hess - fh)) / scale_h < 1e-4
 
 
 # --- symbolic derivative helper -------------------------------------------

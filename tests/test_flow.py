@@ -38,6 +38,21 @@ def test_rk4_nonfinite_detection():
             integrate_rk4(f, [1.0], 0.0, 5.0, 0.5)
 
 
+def test_evals_count_field_calls():
+    calls = 0
+
+    def f(s):
+        nonlocal calls
+        calls += 1
+        return np.array([s[1], -s[0]])
+
+    traj = integrate_rk45(f, [1.0, 0.0], 0.0, 10.0)
+    assert traj.meta["evals"] == calls
+    calls = 0
+    traj = integrate_rk4(f, [1.0, 0.0], 0.0, 0.35, 0.1)
+    assert traj.meta["evals"] == calls == 16
+
+
 def test_rk4_rejects_bad_args():
     with pytest.raises(ValueError):
         integrate_rk4(lambda s: s, [1.0], 0.0, 1.0, 0.0)

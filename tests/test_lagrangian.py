@@ -112,6 +112,19 @@ def test_regularity_and_singular_error():
         el_section(bad, pt)
 
 
+def test_el_field_unchanged_by_scaling_L():
+    # the regularity rule is scale-invariant: 1e-5 L has cond W = 3 and the
+    # same Euler-Lagrange field as L
+    ent = rigid_body()
+    scaled = LagrangianSystem(ent.model, "0.5e-5*y1^2 + 1e-5*y2^2 + 1.5e-5*y3^2")
+    f, g = el_vector_field(ent.lag), el_vector_field(scaled)
+    for pt in random_points(ent, 10, seed=3):
+        ok, cond = is_regular(scaled, pt)
+        assert ok and cond == pytest.approx(3.0)
+        state = np.concatenate([pt.x, pt.y])
+        assert np.allclose(g(state), f(state), rtol=1e-12, atol=1e-12)
+
+
 def test_regularity_stable_under_base_shift():
     # adding a function of the base alone must leave the fibre Hessian
     # bit-for-bit unchanged

@@ -91,6 +91,17 @@ def test_constant_structure_is_cached():
     assert not m2.is_constant_structure
 
 
+def test_constant_structure_cache_is_read_only():
+    m = so3_adapter()
+    s = m.structure_at([0.1])
+    for arr in (s.rho0, s.rho, s.c0, s.c):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 99.0
+    with pytest.raises(ValueError):
+        s.c[0, 1, 2] = 99.0
+    assert m.structure_at([0.9]).c[0, 1, 2] == 1.0
+
+
 def test_validate_so3_exact_zero():
     rep = validate_structure(so3_adapter(), samples=10, tol=1e-10)
     assert rep.max_anchor == 0.0
