@@ -30,7 +30,7 @@ from .expressions import (
     _fold,
     _is_zero,
     _norm_const,
-    constant_field,
+    bind_row,
     derive_field,
     parse,
 )
@@ -88,7 +88,8 @@ class AtiyahSpec:
     (dict or full tensor, see _constants_tensor); the Jacobi identity is
     checked here, scaled by the cube of the largest entry.  k0 gives the r
     connection coefficients along the time direction and k one row of r per
-    spatial direction, as expression strings or fields over the base.
+    spatial direction, as expression strings or fields over the base.  The
+    three boxes go to the adapted chart, as in Chart.
     """
 
     __slots__ = ("base_names", "algebra_dim", "c", "k0", "k", "chart")
@@ -102,6 +103,7 @@ class AtiyahSpec:
         k,
         base_box=None,
         fibre_box=None,
+        dual_box=None,
         jacobi_tol=1e-9,
     ):
         self.base_names = tuple(base_names)
@@ -117,33 +119,16 @@ class AtiyahSpec:
                 "structure constants break the Jacobi identity, residual %.3e" % res
             )
         m = len(self.base_names) - 1
-        self.k0 = self._fields(k0, "k0")
+        self.k0 = bind_row(k0, r, self.base_names, "k0")
         k = list(k)
         if len(k) != m:
             raise ValueError("k needs one row per spatial direction: %d, got %d" % (m, len(k)))
-        self.k = tuple(self._fields(row, "k[%d]" % (i + 1)) for i, row in enumerate(k))
-        self.chart = Chart(self.base_names, m + r, base_box=base_box, fibre_box=fibre_box)
-
-    def _fields(self, row, what):
-        row = list(row)
-        if len(row) != self.algebra_dim:
-            raise ValueError(
-                "%s needs %d entries, got %d" % (what, self.algebra_dim, len(row))
-            )
-        out = []
-        for entry in row:
-            if isinstance(entry, ScalarField):
-                if entry.variables != self.base_names:
-                    raise ValueError(
-                        "%s: field bound to %r, base is %r"
-                        % (what, entry.variables, self.base_names)
-                    )
-                out.append(entry)
-            elif isinstance(entry, str):
-                out.append(parse(entry, self.base_names))
-            else:
-                out.append(constant_field(float(entry), self.base_names))
-        return tuple(out)
+        self.k = tuple(
+            bind_row(row, r, self.base_names, "k[%d]" % (i + 1)) for i, row in enumerate(k)
+        )
+        self.chart = Chart(
+            self.base_names, m + r, base_box=base_box, fibre_box=fibre_box, dual_box=dual_box
+        )
 
     @property
     def spatial_dim(self):

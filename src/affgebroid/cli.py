@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,7 +64,7 @@ from .hamiltonian import (
     poisson_hamiltonian_field,
 )
 from .lagrangian import LagrangianSystem, el_vector_field
-from .legendre import LegendrePair, NewtonParams, leg, leg_inverse
+from .legendre import LegendrePair, NewtonParams, flow_commutation_check, leg, leg_inverse
 from .model import AffgebroidModel, APoint, Chart, VStarPoint, validate_structure
 from .tulczyjew import a_map, a_map_inverse, s_h_point, s_l_generator, s_l_residual, sigma
 
@@ -236,6 +237,7 @@ def _load_atiyah(raw, chart):
             k,
             base_box=chart.base_box,
             fibre_box=chart.fibre_box,
+            dual_box=chart.dual_box,
         )
     except (ParseError, ValueError) as e:
         if isinstance(e, JacobiViolation):
@@ -552,181 +554,142 @@ def _default_energy(chart, kind):
     return " + ".join("0.5*%s^2" % nm for nm in names)
 
 
-def _check_involution(bundle, rng, points):
-    model = bundle.model
-    worst = 0.0
-    for _ in range(points):
-        j = model.chart.sample_jet(rng)
-        back = sigma(model, sigma(model, j))
-        gap = max(
-            float(np.max(np.abs(back.x - j.x))),
-            float(np.max(np.abs(back.y - j.y))),
-            float(np.max(np.abs(back.z - j.z))),
-            float(np.max(np.abs(back.v - j.v))),
-        )
-        worst = max(worst, gap)
-    return worst
+def _sampled(points, at):
+    """Row residual: the max of at(bundle, rng) over points draws, where at
+    may return several residuals.  np.max propagates NaN, so one non-finite
+    residual fails the row."""
+    return lambda bundle, rng: float(np.max([at(bundle, rng) for _ in range(points)]))
 
 
-def _check_dual_map(bundle, rng, points):
-    model = bundle.model
-    worst = 0.0
-    for _ in range(points):
-        q = model.chart.sample_phase(rng)
-        back = a_map_inverse(model, a_map(model, q))
-        gap = max(
-            float(np.max(np.abs(back.x - q.x))),
-            float(np.max(np.abs(back.p - q.p))),
-            float(np.max(np.abs(back.z - q.z))),
-            float(np.max(np.abs(back.w - q.w))),
-        )
-        worst = max(worst, gap)
-    return worst
+def _gap(p, q):
+    """Max-abs coordinate distance between two points of one kind."""
+    return float(
+        np.max(np.abs(np.concatenate([getattr(p, s) - getattr(q, s) for s in p.__slots__])))
+    )
 
 
-def _check_generated_submanifold(bundle, rng, points):
-    sys_obj = bundle.lag_sys
-    worst = 0.0
-    for _ in range(points):
-        a = sys_obj.model.chart.sample_a(rng)
-        p = s_l_generator(sys_obj, a)
-        worst = max(worst, s_l_residual(sys_obj, p, params=bundle.newton).max_abs)
-    return worst
+def _involution_gap(bundle, rng):
+    j = bundle.model.chart.sample_jet(rng)
+    return _gap(sigma(bundle.model, sigma(bundle.model, j)), j)
 
 
-def _check_submanifold_match(bundle, rng, points):
+def _dual_map_gap(bundle, rng):
+    q = bundle.model.chart.sample_phase(rng)
+    return _gap(a_map_inverse(bundle.model, a_map(bundle.model, q)), q)
+
+
+def _generated_residual(bundle, rng):
+    p = s_l_generator(bundle.lag_sys, bundle.model.chart.sample_a(rng))
+    return s_l_residual(bundle.lag_sys, p, params=bundle.newton).max_abs
+
+
+def _submanifold_match(bundle, rng):
+    # one pair for every point: its Newton warm start carries between them
     pair = LegendrePair(bundle.lag_sys, params=bundle.newton)
-    worst = 0.0
-    for _ in range(points):
-        q = pair.lag.model.chart.sample_vstar(rng)
-        ph = s_h_point(pair.ham, q)
-        worst = max(worst, s_l_residual(pair.lag, ph, params=bundle.newton).max_abs)
-        a = pair.lag.model.chart.sample_a(rng)
-        pl = s_l_generator(pair.lag, a)
-        sh = s_h_point(pair.ham, VStarPoint(pl.x, pl.p))
-        worst = max(
-            worst,
-            float(np.max(np.abs(sh.z - pl.z))),
-            float(np.max(np.abs(sh.w - pl.w))),
-        )
-    return worst
+
+    def at(bundle, rng):
+        ph = s_h_point(pair.ham, bundle.model.chart.sample_vstar(rng))
+        on_l = s_l_residual(pair.lag, ph, params=bundle.newton).max_abs
+        pl = s_l_generator(pair.lag, bundle.model.chart.sample_a(rng))
+        return on_l, _gap(s_h_point(pair.ham, VStarPoint(pl.x, pl.p)), pl)
+
+    return _sampled(50, at)(bundle, rng)
 
 
-def _check_flow_commutation(bundle):
-    from .legendre import flow_commutation_check
-
+def _flow_commutation(bundle, rng):
     pair = LegendrePair(bundle.lag_sys, params=bundle.newton)
     a0 = APoint(bundle.initial.x, bundle.initial.y)
     return flow_commutation_check(pair, a0, 1.0, 1e-3)
 
 
-def _check_poisson_routes(bundle, rng, points):
-    sys_obj = bundle.ham_sys
-    direct = hamilton_vector_field(sys_obj)
-    worst = 0.0
-    for _ in range(points):
-        q = sys_obj.model.chart.sample_vstar(rng)
-        state = np.concatenate([q.x, q.p])
-        lhs = direct(state)
-        for y0 in (-1.0, 0.0, 1.0):
-            rhs = poisson_hamiltonian_field(sys_obj, y0=y0)(state)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+def _route_gaps(bundle, rng):
+    q = bundle.model.chart.sample_vstar(rng)
+    state = np.concatenate([q.x, q.p])
+    lhs = hamilton_vector_field(bundle.ham_sys)(state)
+    return [
+        float(np.max(np.abs(lhs - poisson_hamiltonian_field(bundle.ham_sys, y0=y0)(state))))
+        for y0 in (-1.0, 0.0, 1.0)
+    ]
 
 
-def _validate_sampled(bundle):
+def _validated(bundle, rng):
     # own generator from the config seed, so the shared check stream never shifts
-    return validate_structure(bundle.model, samples=30, seed=bundle.seed, tol=1e-9)
+    return validate_structure(bundle.model, samples=30, seed=bundle.seed, tol=1e-9).max_residual
 
 
-def _check_structure(bundle):
-    return _validate_sampled(bundle).max_residual
+def _lp_residual(bundle, rng):
+    src = bundle.lagrangian or _default_energy(bundle.chart, "L")
+    return lp_equations_check(bundle.spec, src, bundle.spec.chart.sample_a(rng)).max_abs
 
 
-def _check_atiyah(bundle, rng, points):
-    spec = bundle.spec
-    report = _validate_sampled(bundle)
-    l_src = bundle.lagrangian or _default_energy(bundle.chart, "L")
-    h_src = bundle.hamiltonian or _default_energy(bundle.chart, "H")
-    lp = 0.0
-    hp = 0.0
-    for _ in range(points):
-        lp = max(lp, lp_equations_check(spec, l_src, spec.chart.sample_a(rng)).max_abs)
-        hp = max(hp, hp_equations_check(spec, h_src, spec.chart.sample_vstar(rng)).max_abs)
-    return report, lp, hp
+def _hp_residual(bundle, rng):
+    src = bundle.hamiltonian or _default_energy(bundle.chart, "H")
+    return hp_equations_check(bundle.spec, src, bundle.spec.chart.sample_vstar(rng)).max_abs
+
+
+def _no_lagrangian(bundle):
+    return "no lagrangian" if bundle.lag_sys is None else None
+
+
+def _no_hamiltonian(bundle):
+    return "no hamiltonian" if bundle.ham_sys is None else None
+
+
+def _no_flow_start(bundle):
+    if bundle.lag_sys is None or bundle.initial.x is None or bundle.initial.y is None:
+        return "needs lagrangian and initial x, y"
+    return None
+
+
+def _no_atiyah(bundle):
+    return "not an atiyah config" if bundle.spec is None else None
+
+
+def _is_atiyah(bundle):
+    return None if bundle.spec is None else "atiyah config, see atiyah_validate"
+
+
+_Check = namedtuple("_Check", "name suite tol skip residual")
+
+# Rows run in this order and draw their points from one generator seeded by
+# the config, so each row's points depend on the rows before it.  A row of
+# suite "all" runs only in the full suite.  skip is None or returns the
+# reason to skip the row.
+CHECKS = (
+    _Check("involution", "involution", 1e-12, None, _sampled(200, _involution_gap)),
+    _Check("dual_map_round_trip", "tulczyjew", 1e-12, None, _sampled(100, _dual_map_gap)),
+    _Check("lagrangian_submanifold", "tulczyjew", 1e-12, _no_lagrangian,
+           _sampled(50, _generated_residual)),
+    _Check("submanifold_match", "tulczyjew", 1e-8, _no_lagrangian, _submanifold_match),
+    _Check("flow_commutation", "flows", 1e-5, _no_flow_start, _flow_commutation),
+    _Check("hamilton_route_equality", "poisson", 1e-10, _no_hamiltonian,
+           _sampled(100, _route_gaps)),
+    _Check("atiyah_validate", "atiyah", 1e-9, _no_atiyah, _validated),
+    _Check("lp_assembly", "atiyah", 1e-10, _no_atiyah, _sampled(25, _lp_residual)),
+    _Check("hp_assembly", "atiyah", 1e-10, _no_atiyah, _sampled(25, _hp_residual)),
+    _Check("structure_validate", "all", 1e-9, _is_atiyah, _validated),
+)
 
 
 def cmd_check(args):
     bundle = load_config(args.config)
     rng = np.random.default_rng(bundle.seed)
-    lines = []
     failed = False
-
-    def run(name, tol, fn, *fn_args):
-        nonlocal failed
+    for row in CHECKS:
+        if args.suite not in ("all", row.suite):
+            continue
+        why = row.skip and row.skip(bundle)
+        if why:
+            print("%-26s %-36s SKIP" % (row.name, "(%s)" % why))
+            continue
         try:
-            res = fn(*fn_args)
+            res = row.residual(bundle, rng)
         except _NUMERIC_ERRORS as e:
-            lines.append("%-26s %-36s FAIL" % (name, "error: %s" % e))
-            failed = True
-            return
-        ok = res < tol
-        if not ok:
-            failed = True
-        lines.append(
-            "%-26s max %.3e  tol %.1e    %s" % (name, res, tol, "PASS" if ok else "FAIL")
-        )
-
-    def skip(name, why):
-        lines.append("%-26s %-36s SKIP" % (name, "(%s)" % why))
-
-    suite = args.suite
-    if suite in ("all", "involution"):
-        run("involution", 1e-12, _check_involution, bundle, rng, 200)
-    if suite in ("all", "tulczyjew"):
-        run("dual_map_round_trip", 1e-12, _check_dual_map, bundle, rng, 100)
-        if bundle.lag_sys is not None:
-            run("lagrangian_submanifold", 1e-12, _check_generated_submanifold, bundle, rng, 50)
-            run("submanifold_match", 1e-8, _check_submanifold_match, bundle, rng, 50)
+            ok, text = False, "%-36s" % ("error: %s" % e)
         else:
-            skip("lagrangian_submanifold", "no lagrangian")
-            skip("submanifold_match", "no lagrangian")
-    if suite in ("all", "flows"):
-        if bundle.lag_sys is not None and bundle.initial.x is not None and bundle.initial.y is not None:
-            run("flow_commutation", 1e-5, _check_flow_commutation, bundle)
-        else:
-            skip("flow_commutation", "needs lagrangian and initial x, y")
-    if suite in ("all", "poisson"):
-        if bundle.ham_sys is not None:
-            run("hamilton_route_equality", 1e-10, _check_poisson_routes, bundle, rng, 100)
-        else:
-            skip("hamilton_route_equality", "no hamiltonian")
-    if suite in ("all", "atiyah"):
-        if bundle.spec is not None:
-            try:
-                report, lp, hp = _check_atiyah(bundle, rng, 25)
-            except _NUMERIC_ERRORS as e:
-                lines.append("%-26s %-36s FAIL" % ("atiyah_validate", "error: %s" % e))
-                failed = True
-            else:
-                ok = report.passed
-                failed = failed or not ok
-                lines.append(
-                    "%-26s max %.3e  tol %.1e    %s"
-                    % ("atiyah_validate", report.max_residual, report.tol, "PASS" if ok else "FAIL")
-                )
-                for nm, res in (("lp_assembly", lp), ("hp_assembly", hp)):
-                    ok = res < 1e-10
-                    failed = failed or not ok
-                    lines.append(
-                        "%-26s max %.3e  tol %.1e    %s" % (nm, res, 1e-10, "PASS" if ok else "FAIL")
-                    )
-        else:
-            skip("atiyah_validate", "not an atiyah config")
-            if suite == "all":
-                run("structure_validate", 1e-9, _check_structure, bundle)
-    for line in lines:
-        print(line)
+            ok, text = res < row.tol, "max %.3e  tol %.1e   " % (res, row.tol)
+        failed = failed or not ok
+        print("%-26s %s %s" % (row.name, text, "PASS" if ok else "FAIL"))
     print("FAIL" if failed else "PASS")
     return 1 if failed else 0
 
@@ -797,7 +760,7 @@ def build_parser():
     p.add_argument("config")
     p.add_argument(
         "--suite",
-        choices=["all", "involution", "tulczyjew", "flows", "poisson", "atiyah"],
+        choices=list(dict.fromkeys(["all"] + [row.suite for row in CHECKS])),
         default="all",
     )
     p.set_defaults(func=cmd_check)

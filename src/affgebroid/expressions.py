@@ -562,6 +562,27 @@ def constant_field(value, variables):
     return ScalarField(Num(float(value)), tuple(variables))
 
 
+def bind_row(row, k, variables, what):
+    """k fields over a tuple of variable names, from ScalarFields (which must
+    be bound to exactly those variables), expression strings or numbers."""
+    row = list(row)
+    if len(row) != k:
+        raise ValueError("%s needs %d entries, got %d" % (what, k, len(row)))
+    fields = []
+    for entry in row:
+        if isinstance(entry, ScalarField):
+            if entry.variables != variables:
+                raise ValueError(
+                    "%s: field bound to %r, base is %r" % (what, entry.variables, variables)
+                )
+            fields.append(entry)
+        elif isinstance(entry, str):
+            fields.append(parse(entry, variables))
+        else:
+            fields.append(constant_field(float(entry), variables))
+    return tuple(fields)
+
+
 # ---------------------------------------------------------------------------
 # symbolic derivative with constant folding
 #

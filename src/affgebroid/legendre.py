@@ -192,9 +192,6 @@ def flow_commutation_check(pair, a0, t1, dt):
     h_traj = integrate_rk4(
         hamilton_vector_field(ham), np.concatenate([v0.x, v0.p]), 0.0, t1, dt
     )
-    worst = 0.0
-    for el_state, h_state in zip(el_traj.states, h_traj.states):
-        image = leg(lag, APoint(el_state[:m], el_state[m:]))
-        gap = np.concatenate([image.x, image.p]) - h_state
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    images = [leg(lag, APoint(s[:m], s[m:])) for s in el_traj.states]
+    gaps = np.array([np.concatenate([v.x, v.p]) for v in images]) - h_traj.states
+    return float(np.max(np.abs(gaps)))

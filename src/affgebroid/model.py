@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import ScalarField, constant_field, parse
+from .expressions import bind_row
 
 
 class Chart:
@@ -98,70 +98,52 @@ class Chart:
         )
 
 
-def _arr(v):
-    return np.array(v, dtype=float).reshape(-1)
+class _Point:
+    """Named coordinate blocks, one per slot, each stored as a flat float
+    array; positional construction follows the slot order."""
+
+    __slots__ = ()
+
+    def __init__(self, *blocks):
+        if len(blocks) != len(self.__slots__):
+            raise TypeError(
+                "%s takes %d coordinate blocks, got %d"
+                % (type(self).__name__, len(self.__slots__), len(blocks))
+            )
+        for name, v in zip(self.__slots__, blocks):
+            setattr(self, name, np.array(v, dtype=float).reshape(-1))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join(str(getattr(self, name).tolist()) for name in self.__slots__),
+        )
 
 
-class APoint:
+class APoint(_Point):
     """Point of the affine bundle: base x, velocity fibre y^a."""
 
     __slots__ = ("x", "y")
 
-    def __init__(self, x, y):
-        self.x = _arr(x)
-        self.y = _arr(y)
 
-    def __repr__(self):
-        return "APoint(%s, %s)" % (self.x.tolist(), self.y.tolist())
-
-
-class VStarPoint:
+class VStarPoint(_Point):
     """Point of the dual bundle: base x, momenta p_a."""
 
     __slots__ = ("x", "p")
 
-    def __init__(self, x, p):
-        self.x = _arr(x)
-        self.p = _arr(p)
 
-    def __repr__(self):
-        return "VStarPoint(%s, %s)" % (self.x.tolist(), self.p.tolist())
-
-
-class JetPoint:
+class JetPoint(_Point):
     """Velocity-side double point (x, y; z, v): a point of A with a second
     fibre pair attached (prolongation coordinates)."""
 
     __slots__ = ("x", "y", "z", "v")
 
-    def __init__(self, x, y, z, v):
-        self.x = _arr(x)
-        self.y = _arr(y)
-        self.z = _arr(z)
-        self.v = _arr(v)
 
-    def __repr__(self):
-        return "JetPoint(%s, %s, %s, %s)" % tuple(
-            u.tolist() for u in (self.x, self.y, self.z, self.v)
-        )
-
-
-class PhasePoint:
+class PhasePoint(_Point):
     """Momentum-side double point (x, p; z, w): base x, momenta p_a, velocity
     slot z^a, covelocity slot w_a."""
 
     __slots__ = ("x", "p", "z", "w")
-
-    def __init__(self, x, p, z, w):
-        self.x = _arr(x)
-        self.p = _arr(p)
-        self.z = _arr(z)
-        self.w = _arr(w)
-
-    def __repr__(self):
-        return "PhasePoint(%s, %s, %s, %s)" % tuple(
-            u.tolist() for u in (self.x, self.p, self.z, self.w)
-        )
 
 
 @dataclass
@@ -186,17 +168,18 @@ class AffgebroidModel:
     def __init__(self, chart, rho0, rho, c0=None, c=None):
         self.chart = chart
         m, n = chart.dim_base, chart.fibre_dim
-        self.rho0 = self._row(rho0, m, "rho0")
+        names = chart.base_names
+        self.rho0 = bind_row(rho0, m, names, "rho0")
         rho = list(rho)
         if len(rho) != n:
             raise ValueError("rho needs %d rows, got %d" % (n, len(rho)))
-        self.rho = tuple(self._row(r, m, "rho[%d]" % (a + 1)) for a, r in enumerate(rho))
+        self.rho = tuple(bind_row(r, m, names, "rho[%d]" % (a + 1)) for a, r in enumerate(rho))
         if c0 is None:
             c0 = [["0"] * n for _ in range(n)]
         c0 = list(c0)
         if len(c0) != n:
             raise ValueError("c0 needs %d rows" % n)
-        self.c0 = tuple(self._row(r, n, "c0[%d]" % (a + 1)) for a, r in enumerate(c0))
+        self.c0 = tuple(bind_row(r, n, names, "c0[%d]" % (a + 1)) for a, r in enumerate(c0))
         self.c = {}
         for key, row in (c or {}).items():
             a, b = key
@@ -204,30 +187,11 @@ class AffgebroidModel:
                 raise ValueError(
                     "c keys must be pairs (a, b) with 1 <= a < b <= %d, got %r" % (n, (a, b))
                 )
-            self.c[(a, b)] = self._row(row, n, "c[%r]" % (key,))
+            self.c[(a, b)] = bind_row(row, n, names, "c[%r]" % (key,))
         self._const = all(
             f.is_constant() for f in self._all_fields()
         )
         self._cache = None
-
-    def _row(self, row, k, what):
-        fields = []
-        row = list(row)
-        if len(row) != k:
-            raise ValueError("%s needs %d entries, got %d" % (what, k, len(row)))
-        for entry in row:
-            if isinstance(entry, ScalarField):
-                if entry.variables != self.chart.base_names:
-                    raise ValueError(
-                        "%s: field bound to %r, chart base is %r"
-                        % (what, entry.variables, self.chart.base_names)
-                    )
-                fields.append(entry)
-            elif isinstance(entry, str):
-                fields.append(parse(entry, self.chart.base_names))
-            else:
-                fields.append(constant_field(float(entry), self.chart.base_names))
-        return tuple(fields)
 
     def _all_fields(self):
         yield from self.rho0
@@ -341,7 +305,7 @@ class ValidationReport:
 
     @property
     def max_residual(self):
-        return max(self.max_anchor, self.max_jacobi)
+        return float(np.maximum(self.max_anchor, self.max_jacobi))
 
     @property
     def passed(self):
@@ -361,53 +325,56 @@ class ValidationReport:
         )
 
 
+# samples per einsum block: the Jacobi tensor of a block holds
+# _BLOCK * (n+1)^4 floats, so memory stays flat in the sample count
+_BLOCK = 32
+
+
 def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
     """Check anchor compatibility and the Jacobi identity at sample points.
 
-    Anchor residual, all I < J over {0, 1..n}, target j:
+    Anchor residual, all I, J over {0, 1..n}, target j:
         rho_I^i d(rho_J^j)/dx^i - rho_J^i d(rho_I^j)/dx^i - C_IJ^K rho_K^j
-    Jacobi residual, all I < J < K, target L:
+    Jacobi residual, all I, J, K, target L:
         sum over cyclic (I,J,K) of [rho_I^i d(C_JK^L)/dx^i + C_IM^L C_JK^M]
+    Both are antisymmetric in their lower indices, so the max over all index
+    tuples is the max over I < J (< K).  A non-finite residual fails.
     """
     if sample_points is None:
         rng = np.random.default_rng(seed)
         sample_points = [model.chart.sample_base(rng) for _ in range(samples)]
-    n = model.chart.fibre_dim
-    max_anchor = 0.0
-    max_jacobi = 0.0
-    worst_a = worst_j = np.asarray(sample_points[0], dtype=float)
-    per_point = []
-    for x in sample_points:
-        x = np.asarray(x, dtype=float)
-        rho = model.full_anchor_at(x)           # (n+1, m)
-        cf = model.full_c_at(x)                 # (n+1, n+1, n+1)
-        rg, cg = model.structure_grad_at(x)
-        pa = 0.0
-        for i_ in range(n + 1):
-            for j_ in range(i_ + 1, n + 1):
-                res = rho[i_] @ rg[j_].T - rho[j_] @ rg[i_].T - cf[i_, j_] @ rho
-                pa = max(pa, float(np.max(np.abs(res))))
-        pj = 0.0
-        for i_ in range(n + 1):
-            for j_ in range(i_ + 1, n + 1):
-                for k_ in range(j_ + 1, n + 1):
-                    for el in range(1, n + 1):
-                        acc = 0.0
-                        for a_, b_, c_ in ((i_, j_, k_), (j_, k_, i_), (k_, i_, j_)):
-                            acc += float(rho[a_] @ cg[b_, c_, el])
-                            acc += float(cf[a_, :, el] @ cf[b_, c_, :])
-                        pj = max(pj, abs(acc))
-        if pa > max_anchor:
-            max_anchor, worst_a = pa, x
-        if pj > max_jacobi:
-            max_jacobi, worst_j = pj, x
-        per_point.append((pa, pj))
+    points = [np.asarray(x, dtype=float) for x in sample_points]
+    anchor, jacobi = [], []
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        rho = np.stack([model.full_anchor_at(x) for x in block])  # (k, N, m), N = n + 1
+        cf = np.stack([model.full_c_at(x) for x in block])        # (k, N, N, N)
+        grads = [model.structure_grad_at(x) for x in block]
+        rg = np.stack([g[0] for g in grads])                      # (k, N, m, m)
+        cg = np.stack([g[1] for g in grads])                      # (k, N, N, N, m)
+        res = (
+            np.einsum("kIi,kJji->kIJj", rho, rg)
+            - np.einsum("kJi,kIji->kIJj", rho, rg)
+            - np.einsum("kIJK,kKj->kIJj", cf, rho)
+        )
+        anchor.append(np.abs(res).reshape(len(block), -1).max(axis=1))
+        lie = np.einsum("kIi,kJKLi->kIJKL", rho, cg)
+        alg = np.einsum("kIML,kJKM->kIJKL", cf, cf)
+        res = np.zeros_like(lie)
+        for cyc in ("kIJKL->kIJKL", "kJKIL->kIJKL", "kKIJL->kIJKL"):
+            res += np.einsum(cyc, lie)
+            res += np.einsum(cyc, alg)
+        jacobi.append(np.abs(res).reshape(len(block), -1).max(axis=1))
+    anchor = np.concatenate(anchor)
+    jacobi = np.concatenate(jacobi)
+    # argmax lands on the first NaN, and np.max propagates it
+    ia, ij = int(np.argmax(anchor)), int(np.argmax(jacobi))
     return ValidationReport(
-        n_points=len(sample_points),
+        n_points=len(points),
         tol=tol,
-        max_anchor=max_anchor,
-        max_jacobi=max_jacobi,
-        worst_anchor_point=worst_a,
-        worst_jacobi_point=worst_j,
-        per_point=per_point,
+        max_anchor=float(np.max(anchor)),
+        max_jacobi=float(np.max(jacobi)),
+        worst_anchor_point=points[ia],
+        worst_jacobi_point=points[ij],
+        per_point=list(zip(anchor.tolist(), jacobi.tolist())),
     )

@@ -15,7 +15,7 @@ from .flow import Trajectory, time_derivative
 from .hamiltonian import momentum_rate
 from .lagrangian import momentum_equation_rhs
 from .legendre import NewtonParams, leg_inverse
-from .model import APoint, JetPoint, PhasePoint, VStarPoint
+from .model import APoint, JetPoint, PhasePoint, VStarPoint, _Point
 
 
 def sigma(model, j):
@@ -45,16 +45,12 @@ def a_map_dual(model, j):
     return tilde_pairing(sigma_l(model, j))
 
 
-@dataclass
-class LvStarPoint:
+class LvStarPoint(_Point):
     """Coordinates on the dual of the prolongation: base, velocity slot, and
     the two covector blocks (reference/fibre directions, vertical
     directions)."""
 
-    x: np.ndarray
-    z: np.ndarray
-    cov_t: np.ndarray
-    cov_v: np.ndarray
+    __slots__ = ("x", "z", "cov_t", "cov_v")
 
 
 def a_map(model, p):
@@ -62,7 +58,7 @@ def a_map(model, p):
     (x, p; z, w) -> (x, z; w - C_0g p - C_ag z p, p)."""
     s = model.structure_at(p.x)
     cov_t = p.w - s.c0 @ p.p - np.einsum("agb,a,b->g", s.c, p.z, p.p)
-    return LvStarPoint(x=p.x.copy(), z=p.z.copy(), cov_t=cov_t, cov_v=p.p.copy())
+    return LvStarPoint(p.x, p.z, cov_t, p.p)
 
 
 def a_map_inverse(model, lv):
@@ -79,9 +75,7 @@ def dl_point(sys, a):
     plain fibre derivatives."""
     _, dldx, dldy, _, _ = sys.derivs(a.x, a.y)
     s = sys.model.structure_at(a.x)
-    return LvStarPoint(
-        x=a.x.copy(), z=a.y.copy(), cov_t=s.rho @ dldx, cov_v=dldy
-    )
+    return LvStarPoint(a.x, a.y, s.rho @ dldx, dldy)
 
 
 def s_l_generator(sys, a):
@@ -103,9 +97,7 @@ class SubmanifoldResidual:
 
     @property
     def max_abs(self):
-        return float(
-            max(np.max(np.abs(self.res_p)), np.max(np.abs(self.res_z)), np.max(np.abs(self.res_v)))
-        )
+        return float(np.max(np.abs(np.concatenate([self.res_p, self.res_z, self.res_v]))))
 
 
 def s_l_residual(sys, p, params=None):

@@ -226,11 +226,14 @@ def test_legendre_unknown_grid_axis_exits_2(capsys):
 
 
 def test_check_all_suites_pass_on_shipped_configs(capsys):
-    for cfg in (OSC, RIGID, MAGNETIC):
+    plain = ["atiyah_validate", "lp_assembly", "hp_assembly"]
+    for cfg, skipped in ((OSC, plain), (RIGID, plain), (MAGNETIC, ["structure_validate"])):
         assert main(["check", cfg]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().endswith("PASS")
+        # one SKIP line per skipped row
+        assert [ln.split()[0] for ln in out.splitlines() if ln.endswith("SKIP")] == skipped
 
 
 def test_check_atiyah_suite_lines(capsys):
@@ -261,6 +264,31 @@ def test_check_all_validates_plain_structure(capsys):
     row = [ln for ln in lines if ln.startswith("structure_validate")]
     assert len(row) == 1 and row[0].endswith("FAIL")
     assert lines[-1] == "FAIL"
+
+
+def test_check_fails_on_non_finite_residual(tmp_path, capsys):
+    cfg = {
+        "chart": {"base": ["x"], "fibre_dim": 1, "box": {"x": [400, 410]}},
+        "structure": {"rho0": ["exp(x)"], "rho": [["exp(x)"]]},
+    }
+    path = write_config(tmp_path, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["validate", path]) == 1
+        assert "anchor residual nan" in capsys.readouterr().out
+        assert main(["check", path]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    row = [ln for ln in lines if ln.startswith("structure_validate")]
+    assert len(row) == 1 and "max nan" in row[0] and row[0].endswith("FAIL")
+    assert lines[-1] == "FAIL"
+
+
+def test_atiyah_config_keeps_momentum_box(tmp_path):
+    cfg = json.loads(Path(MAGNETIC).read_text())
+    cfg["chart"]["box"]["p1"] = [3, 4]
+    bundle = load_config(write_config(tmp_path, cfg))
+    assert bundle.chart.dual_box[0] == (3.0, 4.0)
+    assert bundle.spec.chart.dual_box == bundle.chart.dual_box
+    assert bundle.model.chart.dual_box == bundle.chart.dual_box
 
 
 def test_atiyah_expand_round_trip(tmp_path, capsys):

@@ -54,6 +54,10 @@ def test_points_coerce():
     assert ph.w.tolist() == [3.0]
     v = VStarPoint([0.5], [0.25])
     assert v.p.tolist() == [0.25]
+    assert repr(p) == "APoint([1.0, 2.0], [3.0])"
+    assert repr(ph) == "PhasePoint([0.0], [1.0], [2.0], [3.0])"
+    with pytest.raises(TypeError):
+        JetPoint([0], [1], [2])
 
 
 def test_c_antisymmetry_bit_exact():
@@ -162,3 +166,52 @@ def test_model_rejects_bad_shapes():
         AffgebroidModel(chart, ["0"], [["0"], ["0"]], c={(2, 1): ["0", "0"]})
     with pytest.raises(ValueError):
         AffgebroidModel(chart, ["0"], [["0"], ["0"]], c={(1, 2): ["0"]})
+
+
+def loop_residuals(model, x):
+    """Per-point anchor and Jacobi residuals by explicit loops over I < J
+    (< K), the reference for the batched validate_structure."""
+    n = model.chart.fibre_dim
+    rho, cf = model.full_anchor_at(x), model.full_c_at(x)
+    rg, cg = model.structure_grad_at(x)
+    pa = pj = 0.0
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            res = rho[i] @ rg[j].T - rho[j] @ rg[i].T - cf[i, j] @ rho
+            pa = max(pa, float(np.max(np.abs(res))))
+            for k in range(j + 1, n + 1):
+                for el in range(1, n + 1):
+                    acc = 0.0
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        acc += float(rho[a] @ cg[b, c, el]) + float(cf[a, :, el] @ cf[b, c, :])
+                    pj = max(pj, abs(acc))
+    return pa, pj
+
+
+def test_batched_validate_matches_loop_reference():
+    from affgebroid.atiyah import random_spec, reduce
+    from affgebroid.catalog import all_entries
+
+    rng = np.random.default_rng(5)
+    models = [e.model for e in all_entries()]
+    models += [reduce(random_spec(rng, algebra=alg)) for alg in ("so3", "sl2", "heisenberg")]
+    for model in models:
+        # 70 points span three blocks, the last one partial
+        rep = validate_structure(model, samples=70, seed=2)
+        pts = np.random.default_rng(2)
+        ref = [loop_residuals(model, model.chart.sample_base(pts)) for _ in range(70)]
+        # the dot products sum in another order than the loops: allow a few
+        # ulps of Jacobi terms of order 100
+        assert np.allclose(rep.per_point, ref, rtol=0.0, atol=1e-13)
+        assert rep.passed
+
+
+def test_non_finite_residual_fails():
+    # exp(x)^2 overflows, so every anchor residual is inf - inf = nan
+    chart = Chart(["x"], 1, base_box=[(400.0, 410.0)])
+    m = AffgebroidModel(chart, ["exp(x)"], [["exp(x)"]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = validate_structure(m, samples=5)
+    assert np.isnan(rep.max_anchor) and np.isnan(rep.max_residual)
+    assert not rep.passed
+    assert rep.summary().endswith("FAIL")
