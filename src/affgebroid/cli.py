@@ -393,6 +393,8 @@ def _pure_algebra(model):
 
 
 def cmd_validate(args):
+    if args.samples < 1:
+        raise ConfigError("--samples: expected a positive integer, got %d" % args.samples)
     bundle = load_config(args.config)
     report = validate_structure(
         bundle.model, tol=args.tol, samples=args.samples, seed=bundle.seed

@@ -10,10 +10,15 @@ Grammar (infix, left associative except '^'):
 Unary minus binds looser than '^', so -x^2 means -(x^2).  Builtin functions:
 sin cos tan exp log sqrt abs.  Constants: pi, e (reserved, cannot be variables).
 
-Derivatives are exact and symbolic: derive_field differentiates the tree and
-folds constants, each field caches its partials (and their partials for the
-Hessian), and the same float evaluator runs the value and derivative trees.
-Central finite differences (fd_grad / fd_hess) stay as the independent check.
+Evaluation is compiled, not interpreted: compile_trees turns a list of trees
+into one generated Python function of straight-line code with shared
+subexpressions, keeping the float helpers' domain errors.  A field compiles
+its value kernel, and one derivative kernel per set of active variables, on
+first use and keeps them.  Derivatives are exact and symbolic: derive_field
+differentiates the tree and folds constants, each field caches its partials
+(and their partials for the Hessian), and the value and derivative trees go
+into one kernel.  Central finite differences (fd_grad / fd_hess) stay as the
+independent check.
 """
 
 import math
@@ -305,56 +310,41 @@ def to_source(node, min_prec=0):
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError("exp overflow at %r" % v) from None
+
+
+def _log(v):
+    if v <= 0.0:
+        raise DomainError("log needs a positive argument, got %r" % v)
+    return math.log(v)
+
+
+def _sqrt(v):
+    if v < 0.0:
+        raise DomainError("sqrt of negative %r" % v)
+    return math.sqrt(v)
+
+
+_FLOAT_FNS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": _exp,
+    "log": _log,
+    "sqrt": _sqrt,
+    "abs": abs,
+}
+
+
 def _float_fn(name, v):
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    if name == "tan":
-        return math.tan(v)
-    if name == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError("exp overflow at %r" % v) from None
-    if name == "log":
-        if v <= 0.0:
-            raise DomainError("log needs a positive argument, got %r" % v)
-        return math.log(v)
-    if name == "sqrt":
-        if v < 0.0:
-            raise DomainError("sqrt of negative %r" % v)
-        return math.sqrt(v)
-    if name == "abs":
-        return abs(v)
-    raise UnknownFunctionError(name)
-
-
-def _eval(node, env):
-    t = type(node)
-    if t is Num:
-        return node.value
-    if t is Var:
-        return env[node.name]
-    if t is Neg:
-        return -_eval(node.arg, env)
-    if t is Bin:
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        return _float_pow(a, b)
-    # t is Call
-    return _float_fn(node.fn, _eval(node.arg, env))
+    fn = _FLOAT_FNS.get(name)
+    if fn is None:
+        raise UnknownFunctionError(name)
+    return fn(v)
 
 
 def _float_pow(a, b):
@@ -389,19 +379,140 @@ def _collect_vars(node, out):
         _collect_vars(node.arg, out)
 
 
+# ---------------------------------------------------------------------------
+# compilation
+#
+# A kernel is one generated Python function of straight-line code over a
+# list of trees.  Variables are its positional arguments and every distinct
+# subtree is one assignment to a temporary.  Statements follow the
+# left-to-right post-order of a tree walk, tree after tree, and a subtree
+# already assigned is not evaluated again, so the first error a kernel raises
+# is the one a walk of the same trees in the same order would raise.
+
+_KERNEL_GLOBALS = {
+    "_pow": _float_pow,
+    "_isfinite": math.isfinite,
+    "DomainError": DomainError,
+    "inf": math.inf,
+    "nan": math.nan,
+}
+_KERNEL_GLOBALS.update(("_" + name, fn) for name, fn in _FLOAT_FNS.items())
+
+
+def _literal(v):
+    # repr round-trips a float and keeps the sign of -0.0
+    text = repr(v)
+    return "(%s)" % text if text.startswith("-") else text
+
+
+def compile_trees(outputs, variables, steps=()):
+    """One function f(*values) -> tuple of the values of the output trees,
+    over the ordered variable names.
+
+    steps is a sequence of (tree, checked) pairs evaluated first and in
+    order, so that the error a kernel raises is the one evaluating them one
+    by one would raise; a checked step whose value is not finite raises
+    DomainError as ScalarField.eval does.  '/' raises DomainError on a zero
+    divisor, '^' goes through _float_pow and calls through the float helpers.
+    Equal subtrees share one temporary: a subtree is keyed by its operator
+    and the temporaries of its operands, which is structural equality except
+    that the literals 0 and -0 stay apart.
+    """
+    operand = {("var", name): "v%d" % i for i, name in enumerate(variables)}
+    operand.update((("var", name), _literal(v)) for name, v in _CONSTANTS.items())
+    lines = []
+    divides = False
+
+    def emit(node):
+        nonlocal divides
+        t = type(node)
+        if t is Num:
+            return _literal(node.value)
+        if t is Var:
+            return operand[("var", node.name)]
+        if t is Neg:
+            a = emit(node.arg)
+            key, expr = ("neg", a), "-" + a
+        elif t is Bin:
+            a, b = emit(node.left), emit(node.right)
+            key = ("bin", node.op, a, b)
+            if node.op == "^":
+                expr = "_pow(%s, %s)" % (a, b)
+            else:
+                expr = "%s %s %s" % (a, node.op, b)
+                divides = divides or node.op == "/"
+        elif t is Call:
+            if node.fn not in _FLOAT_FNS:
+                raise UnknownFunctionError(node.fn)
+            a = emit(node.arg)
+            key, expr = ("call", node.fn, a), "_%s(%s)" % (node.fn, a)
+        else:
+            raise TypeError("not a syntax node: %r" % (node,))
+        name = operand.get(key)
+        if name is None:
+            name = operand[key] = "t%d" % len(lines)
+            lines.append("%s = %s" % (name, expr))
+        return name
+
+    for i, (tree, checked) in enumerate(steps):
+        out = emit(tree)
+        if checked and not (type(tree) is Num and math.isfinite(tree.value)):
+            lines.append("if not _isfinite(%s): raise _nonfinite(%s, %d)" % (out, out, i))
+    outs = [emit(tree) for tree in outputs]
+    lines.append("return (%s)" % "".join(o + ", " for o in outs))
+    if divides:
+        # Python's float division raises ZeroDivisionError exactly where the
+        # divisor == 0.0 test would, and nothing else in a kernel raises it
+        lines = ["try:"] + ["    " + ln for ln in lines] + [
+            "except ZeroDivisionError:",
+            '    raise DomainError("division by zero") from None',
+        ]
+    source = "def kernel(%s):\n%s\n" % (
+        ", ".join("v%d" % i for i in range(len(variables))),
+        "\n".join("    " + ln for ln in lines),
+    )
+
+    def nonfinite(v, i):
+        return DomainError("non-finite result %r from %r" % (v, to_source(steps[i][0])))
+
+    namespace = dict(_KERNEL_GLOBALS, _nonfinite=nonfinite)
+    exec(compile(source, "<kernel>", "exec"), namespace)
+    # popped, so that the kernel and its globals form no reference cycle
+    return namespace.pop("kernel")
+
+
+_F64 = np.dtype(float)
+
+
+def float_args(values, variables):
+    """values as a list of Python floats, one per variable."""
+    if type(values) is np.ndarray and values.dtype is _F64 and values.ndim == 1:
+        out = values.tolist()
+    else:
+        out = [float(v) for v in values]
+    if len(out) != len(variables):
+        raise ValueError(
+            "expected %d values for %s, got %d" % (len(variables), variables, len(out))
+        )
+    return out
+
+
 Derivatives = namedtuple("Derivatives", "val grad hess")
 
 
 class ScalarField:
     """A parsed expression bound to an ordered variable list."""
 
-    __slots__ = ("ast", "variables", "_source", "_partials")
+    __slots__ = ("ast", "variables", "_source", "_partials", "_kernels")
 
     def __init__(self, ast, variables):
         self.ast = ast
         self.variables = tuple(variables)
         self._source = None
         self._partials = [None] * len(self.variables)
+        # compiled on first evaluation: None for eval, (active, second) for
+        # the derivative kernels
+        self._kernels = {}
 
     @property
     def source(self):
@@ -409,25 +520,13 @@ class ScalarField:
             self._source = to_source(self.ast)
         return self._source
 
-    def _env(self, values):
-        if len(values) != len(self.variables):
-            raise ValueError(
-                "expected %d values for %s, got %d"
-                % (len(self.variables), self.variables, len(values))
-            )
-        env = dict(_CONSTANTS)
-        for name, v in zip(self.variables, values):
-            env[name] = v
-        return env
-
-    def _value(self, env):
-        out = _eval(self.ast, env)
-        if not math.isfinite(out):
-            raise DomainError("non-finite result %r from %r" % (out, self.source))
-        return out
-
     def eval(self, values):
-        return self._value(self._env([float(v) for v in values]))
+        kernel = self._kernels.get(None)
+        if kernel is None:
+            kernel = self._kernels[None] = compile_trees(
+                [self.ast], self.variables, [(self.ast, True)]
+            )
+        return kernel(*float_args(values, self.variables))[0]
 
     def __call__(self, *values):
         return self.eval(values)
@@ -450,23 +549,29 @@ class ScalarField:
             d = self._partials[j] = derive_field(self, self.variables[j])
         return d
 
-    def _derivatives(self, values, active, second):
-        # one environment for the value tree and every derivative tree; the
-        # Hessian is read from the upper triangle and mirrored, so it is
-        # exactly symmetric
-        env = self._env([float(v) for v in values])
-        val = self._value(env)
+    def _derivative_kernel(self, active, second):
+        # value, gradient, then the Hessian row by row: the upper triangle is
+        # evaluated in the order the rows are filled and the lower one
+        # mirrors it, so the Hessian is exactly symmetric
         idx = self._active_indices(active)
-        firsts = [self._partial(j) for j in idx]
-        grad = np.array([_eval(d.ast, env) for d in firsts], dtype=float)
-        if not second:
-            return Derivatives(val, grad, None)
         k = len(idx)
-        hess = np.empty((k, k))
-        for s1, d in enumerate(firsts):
-            for s2 in range(s1, k):
-                hess[s1, s2] = hess[s2, s1] = _eval(d._partial(idx[s2]).ast, env)
-        return Derivatives(val, grad, hess)
+        firsts = [self._partial(j) for j in idx]
+        trees = [self.ast] + [d.ast for d in firsts]
+        if second:
+            trees += [
+                firsts[min(r, s)]._partial(idx[max(r, s)]).ast for r in range(k) for s in range(k)
+            ]
+        return compile_trees(trees, self.variables, [(self.ast, True)]), k
+
+    def _derivatives(self, values, active, second):
+        key = (None if active is None else tuple(active), second)
+        entry = self._kernels.get(key)
+        if entry is None:
+            entry = self._kernels[key] = self._derivative_kernel(active, second)
+        kernel, k = entry
+        out = kernel(*float_args(values, self.variables))
+        arr = np.array(out[1:], dtype=float)
+        return Derivatives(out[0], arr[:k], arr[k:].reshape(k, k) if second else None)
 
     def eval_dual2(self, values, active=None):
         """Value, gradient and Hessian with respect to the active variables

@@ -94,8 +94,10 @@ def h_from_L(sys, v, guess=None, params=None):
 
 class InducedHamiltonian(HamiltonianSystem):
     """Legendre image of a Lagrangian as a live Hamiltonian system.  Keeps a
-    warm-start cache for the fibre Newton solve; results are identical either
-    way, the cache only saves iterations along continuous paths."""
+    warm-start cache for the fibre Newton solve, which saves iterations along
+    continuous paths.  Where Newton starts changes the matched velocity by
+    rounding, within the Newton tol, so results can depend on the order of
+    earlier calls at that level; the same call sequence reproduces exactly."""
 
     def __init__(self, lag_sys, params=None):
         self.model = lag_sys.model

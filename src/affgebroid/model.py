@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import bind_row
+from .expressions import Neg, Num, bind_row, compile_trees, derive_field, float_args
 
 
 class Chart:
@@ -188,19 +188,27 @@ class AffgebroidModel:
                     "c keys must be pairs (a, b) with 1 <= a < b <= %d, got %r" % (n, (a, b))
                 )
             self.c[(a, b)] = bind_row(row, n, names, "c[%r]" % (key,))
-        self._const = all(
-            f.is_constant() for f in self._all_fields()
-        )
+        self._const = all(f.is_constant() for f, _ in self._slots())
         self._cache = None
+        # compiled on first use by structure_at and structure_grad_at
+        self._values_kernel = None
+        self._grad_kernel = None
 
-    def _all_fields(self):
-        yield from self.rho0
-        for r in self.rho:
-            yield from r
-        for r in self.c0:
-            yield from r
-        for r in self.c.values():
-            yield from r
+    def _slots(self):
+        """Every structure field with its place in the full arrays: (I, j)
+        for the anchor rho_I^j, (I, J, K) for the bracket C_IJ^K (whose
+        (J, I, K) entry is its negation)."""
+        for j, f in enumerate(self.rho0):
+            yield f, (0, j)
+        for a, row in enumerate(self.rho):
+            for j, f in enumerate(row):
+                yield f, (1 + a, j)
+        for a, row in enumerate(self.c0):
+            for g, f in enumerate(row):
+                yield f, (0, 1 + a, 1 + g)
+        for (a, b), row in self.c.items():
+            for g, f in enumerate(row):
+                yield f, (a, b, 1 + g)
 
     @property
     def is_constant_structure(self):
@@ -222,15 +230,14 @@ class AffgebroidModel:
         if self._const and self._cache is not None:
             return self._cache
         m, n = self.chart.dim_base, self.chart.fibre_dim
-        x = np.asarray(x, dtype=float)
-        rho0 = np.array([f.eval(x) for f in self.rho0])
-        rho = np.array([[f.eval(x) for f in row] for row in self.rho]).reshape(n, m)
-        c0 = np.array([[f.eval(x) for f in row] for row in self.c0]).reshape(n, n)
-        c = np.zeros((n, n, n))
-        for (a, b), row in self.c.items():
-            vals = np.array([f.eval(x) for f in row])
-            c[a - 1, b - 1, :] = vals
-            c[b - 1, a - 1, :] = -vals
+        if self._values_kernel is None:
+            self._values_kernel = self._compile_values()
+        # one flat array in the order rho0, rho, c0, c, each row-major
+        vals = np.array(self._values_kernel(*float_args(x, self.chart.base_names)))
+        anchor = vals[: (n + 1) * m].reshape(n + 1, m)
+        rho0, rho = anchor[0], anchor[1:]
+        c0 = vals[(n + 1) * m : (n + 1) * m + n * n].reshape(n, n)
+        c = vals[(n + 1) * m + n * n :].reshape(n, n, n)
         out = StructureValues(rho0, rho, c0, c)
         if self._const:
             # every later call hands out these arrays, so nobody may write them
@@ -238,6 +245,20 @@ class AffgebroidModel:
                 arr.flags.writeable = False
             self._cache = out
         return out
+
+    def _compile_values(self):
+        # C_ab^g for a > b is the negation of C_ba^g, the diagonal is zero
+        n = self.chart.fibre_dim
+        c = [[[Num(0.0)] * n for _ in range(n)] for _ in range(n)]
+        for (a, b), row in self.c.items():
+            for g, f in enumerate(row):
+                c[a - 1][b - 1][g] = f.ast
+                c[b - 1][a - 1][g] = Neg(f.ast)
+        outputs = [f.ast for f in self.rho0]
+        outputs += [f.ast for rows in (self.rho, self.c0) for row in rows for f in row]
+        outputs += [t for plane in c for row in plane for t in row]
+        steps = [(f.ast, True) for f, _ in self._slots()]
+        return compile_trees(outputs, self.chart.base_names, steps)
 
     # full (n+1)-indexed arrays, slot 0 = reference direction e_0
 
@@ -258,31 +279,44 @@ class AffgebroidModel:
         """d/dx of the full anchor and bracket arrays: (n+1, m, m) indexed
         [I, j, i] = d rho_I^j / d x^i, and (n+1, n+1, n+1, m)."""
         m, n = self.chart.dim_base, self.chart.fibre_dim
-        x = np.asarray(x, dtype=float)
         rg = np.zeros((n + 1, m, m))
         cg = np.zeros((n + 1, n + 1, n + 1, m))
         if self._const:
             return rg, cg
-        for j, f in enumerate(self.rho0):
-            if not f.is_constant():
-                rg[0, j, :] = f.value_grad(x)[1]
-        for a, row in enumerate(self.rho):
-            for j, f in enumerate(row):
-                if not f.is_constant():
-                    rg[1 + a, j, :] = f.value_grad(x)[1]
-        for a, row in enumerate(self.c0):
-            for g, f in enumerate(row):
-                if not f.is_constant():
-                    grad = f.value_grad(x)[1]
-                    cg[0, 1 + a, 1 + g, :] = grad
-                    cg[1 + a, 0, 1 + g, :] = -grad
-        for (a, b), row in self.c.items():
-            for g, f in enumerate(row):
-                if not f.is_constant():
-                    grad = f.value_grad(x)[1]
-                    cg[a, b, 1 + g, :] = grad
-                    cg[b, a, 1 + g, :] = -grad
+        if self._grad_kernel is None:
+            self._grad_kernel = self._compile_grads()
+        kernel, anchor_at, upper, lower = self._grad_kernel
+        grads = np.array(kernel(*float_args(x, self.chart.base_names)))
+        k = len(anchor_at)
+        rg.put(anchor_at, grads[:k])
+        cg.put(upper, grads[k:])
+        cg.put(lower, -grads[k:])
         return rg, cg
+
+    def _compile_grads(self):
+        # the steps follow value_grad per base-dependent field: its checked
+        # value, then its partials.  The outputs are the anchor partials,
+        # then the bracket ones, each with its flat position in rg or cg (and
+        # in cg of its negation).  Constant fields have zero gradients.
+        m, n = self.chart.dim_base, self.chart.fibre_dim
+        names = self.chart.base_names
+        rg_shape, cg_shape = (n + 1, m, m), (n + 1, n + 1, n + 1, m)
+        steps, anchor, bracket, anchor_at, upper, lower = [], [], [], [], [], []
+        for f, slot in self._slots():
+            if f.is_constant():
+                continue
+            partials = [derive_field(f, name).ast for name in names]
+            steps += [(f.ast, True)] + [(d, False) for d in partials]
+            for i, d in enumerate(partials):
+                if len(slot) == 2:
+                    anchor.append(d)
+                    anchor_at.append(np.ravel_multi_index(slot + (i,), rg_shape))
+                else:
+                    bracket.append(d)
+                    upper.append(np.ravel_multi_index(slot + (i,), cg_shape))
+                    lower.append(np.ravel_multi_index((slot[1], slot[0], slot[2], i), cg_shape))
+        positions = (np.array(at, dtype=int) for at in (anchor_at, upper, lower))
+        return (compile_trees(anchor + bracket, names, steps), *positions)
 
 
 def from_lie_algebroid(chart, rho, c):
@@ -344,6 +378,8 @@ def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
         rng = np.random.default_rng(seed)
         sample_points = [model.chart.sample_base(rng) for _ in range(samples)]
     points = [np.asarray(x, dtype=float) for x in sample_points]
+    if not points:
+        raise ValueError("structure validation needs at least one sample point")
     anchor, jacobi = [], []
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]

@@ -58,6 +58,13 @@ def test_validate_deterministic_output(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_validate_rejects_non_positive_samples(capsys):
+    for samples in ("0", "-2"):
+        assert main(["validate", OSC, "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --samples") and "Traceback" not in err
+
+
 def test_unknown_top_key_exits_2(tmp_path, capsys):
     cfg = oscillator_config()
     cfg["integrater"] = {}
@@ -163,6 +170,40 @@ def test_simulate_byte_deterministic(tmp_path):
     main(["simulate", RIGID, "--mode", "hamiltonian", "--out", str(a)])
     main(["simulate", RIGID, "--mode", "hamiltonian", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_matches_tree_interpreter(tmp_path, monkeypatch):
+    # every shipped config in both modes, once on the compiled kernels and
+    # once with the evaluation methods swapped for the tree interpreter
+    import tree_interpreter as ref
+    from affgebroid.expressions import ScalarField
+    from affgebroid.model import AffgebroidModel
+
+    modes = ("lagrangian", "hamiltonian")
+    runs = [(cfg, mode) for cfg in sorted(CONFIGS.glob("*.json")) for mode in modes]
+    compiled = [tmp_path / ("compiled-%d.csv" % i) for i in range(len(runs))]
+    for (cfg, mode), out in zip(runs, compiled):
+        assert main(["simulate", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+    monkeypatch.setattr(ScalarField, "eval", ref.field_eval)
+    monkeypatch.setattr(ScalarField, "eval_dual2", ref.field_eval_dual2)
+    monkeypatch.setattr(ScalarField, "value_grad", ref.field_value_grad)
+    monkeypatch.setattr(AffgebroidModel, "structure_at", ref.structure_at)
+    monkeypatch.setattr(AffgebroidModel, "structure_grad_at", ref.structure_grad_at)
+    for (cfg, mode), out in zip(runs, compiled):
+        interpreted = tmp_path / "interpreted.csv"
+        assert main(["simulate", str(cfg), "--mode", mode, "--out", str(interpreted)]) == 0
+        assert interpreted.read_bytes() == out.read_bytes(), (cfg.name, mode)
+
+
+def test_load_config_compiles_nothing():
+    # kernels are built on first evaluation, so loading stays as cheap as parsing
+    for cfg in (OSC, RIGID, MAGNETIC):
+        bundle = load_config(cfg)
+        model = bundle.model
+        assert model._values_kernel is None and model._grad_kernel is None
+        fields = [f for f, _ in model._slots()]
+        fields += [bundle.lag_sys.lagrangian, bundle.ham_sys.hamiltonian]
+        assert all(f._kernels == {} for f in fields)
 
 
 def test_simulate_missing_expression_exits_2(tmp_path, capsys):

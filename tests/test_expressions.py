@@ -21,7 +21,10 @@ from affgebroid.expressions import (
     parse,
     to_source,
     _parse_source,
+    compile_trees,
 )
+
+import tree_interpreter as ref
 
 
 def test_hand_value():
@@ -269,3 +272,80 @@ def test_derive_field_folds_simple_polys():
 def test_parsed_tree_not_simplified():
     f = parse("x + 0", ["x"])
     assert f.source == "x+0"
+
+
+# --- compiled kernels against the tree interpreter -------------------------
+
+_GRID = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_trees(4), st.lists(st.sampled_from(_GRID), min_size=5, max_size=5))
+def test_compiled_matches_interpreter_property(tree, point):
+    f = ScalarField(tree, ["x", "y", "z", "q", "p1"])
+    for compiled, reference in [
+        (f.eval, ref.field_eval),
+        (f.value_grad, ref.field_value_grad),
+        (f.eval_dual2, ref.field_eval_dual2),
+    ]:
+        assert ref.outcome(compiled, point) == ref.outcome(reference, f, point), to_source(tree)
+    active = ["z", "x"]
+    assert ref.outcome(f.eval_dual2, point, active) == ref.outcome(
+        ref.field_eval_dual2, f, point, active
+    )
+
+
+def test_compiled_edge_cases_match_interpreter():
+    names = ["x", "y"]
+    cases = [
+        ("x/y", [1.0, 0.0]),
+        ("x/y", [1.0, -0.0]),
+        ("0^-1 + x", [1.0, 1.0]),
+        ("(-x)^0.5", [1.0, 1.0]),
+        ("x^y", [0.0, -2.0]),
+        ("exp(x)*exp(x)", [400.0, 0.0]),
+        ("1e999*x", [1.0, 0.0]),
+        ("1e999*x", [0.0, 0.0]),
+        ("sin(x*1e308*10)", [1.0, 0.0]),
+        ("log(x) + sqrt(y)", [-1.0, -1.0]),
+        ("pi*e + x", [0.5, 0.0]),
+        ("-x*0", [2.0, 0.0]),
+        ("abs(x - y)", [0.25, 0.25]),
+        ("tan(x) + 1/cos(y)", [0.5, 1.5]),
+    ]
+    for source, point in cases:
+        f = parse(source, names)
+        for compiled, reference in [
+            (f.eval, ref.field_eval),
+            (f.value_grad, ref.field_value_grad),
+            (f.eval_dual2, ref.field_eval_dual2),
+        ]:
+            assert ref.outcome(compiled, point) == ref.outcome(reference, f, point), source
+
+
+def test_compiled_keeps_the_sign_of_zero():
+    # folding can leave the literal -0, which must share no temporary with 0
+    assert math.copysign(1.0, derive_field(parse("-(0*x)", ["x"]), "x").eval([1.0])) == -1.0
+    g = ScalarField(Bin("+", Bin("*", Var("x"), Num(-0.0)), Bin("*", Var("x"), Num(0.0))), ["x"])
+    assert ref.outcome(g.eval, [-1.0]) == ref.outcome(ref.field_eval, g, [-1.0])
+
+
+def test_compile_trees_shares_subtrees_and_keeps_error_order():
+    x = Var("x")
+    s = Call("sin", x)
+    kernel = compile_trees([Bin("*", s, s), s, Num(2.0)], ("x",))
+    assert kernel(0.5) == (math.sin(0.5) * math.sin(0.5), math.sin(0.5), 2.0)
+    # the first step's division raises before the second step's log
+    steps = [(Bin("/", x, Num(0.0)), False), (Call("log", Neg(x)), True)]
+    kernel = compile_trees([x], ("x",), steps)
+    with pytest.raises(DomainError, match="division by zero"):
+        kernel(1.0)
+    kernel = compile_trees([], ("x",), steps[::-1])
+    with pytest.raises(DomainError, match="log needs a positive argument"):
+        kernel(1.0)
+    big = Bin("*", x, Num(1e308))
+    kernel = compile_trees([big], ("x",), [(big, True)])
+    with pytest.raises(DomainError, match="non-finite result inf from 'x\\*1e\\+308'"):
+        kernel(10.0)
+    # outputs are not checked
+    assert compile_trees([big], ("x",))(10.0) == (math.inf,)

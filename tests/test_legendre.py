@@ -145,6 +145,22 @@ def test_warm_start_is_deterministic():
     assert vals1 == again
 
 
+def test_warm_start_agrees_with_cold_start_along_a_path():
+    # the warm start changes where Newton starts, so the matched velocity
+    # may move by rounding, but never by more than the Newton tolerance:
+    # W = diag(1 + 3 y1^2, 1 + 1.2 y2^2) >= I, so each side lies within tol
+    # of the exact fibre solution
+    ent = twisted_line()
+    quart = LagrangianSystem(ent.model, "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1")
+    warm = LegendrePair(quart).ham
+    tol = warm.params.tol
+    for s in np.linspace(0.0, 1.0, 41):
+        x, p = [0.5 + 0.4 * s], [2.0 * np.sin(3.0 * s), 1.5 - 3.0 * s]
+        cold = LegendrePair(quart).ham
+        for got, ref in zip(warm.grad(x, p), cold.grad(x, p)):
+            assert np.max(np.abs(got - ref)) <= 2.0 * tol
+
+
 def test_quartic_lagrangian_round_trip():
     # non-quadratic fibre dependence exercises the genuine Newton path
     ent = oscillator()

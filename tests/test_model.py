@@ -12,6 +12,8 @@ from affgebroid.model import (
     validate_structure,
 )
 
+import tree_interpreter as ref
+
 
 def so3_adapter():
     chart = Chart(["t"], 3, base_box=[(0.0, 10.0)], fibre_box=[(-2.0, 2.0)] * 3)
@@ -215,3 +217,46 @@ def test_non_finite_residual_fails():
     assert np.isnan(rep.max_anchor) and np.isnan(rep.max_residual)
     assert not rep.passed
     assert rep.summary().endswith("FAIL")
+
+
+def test_compiled_structure_matches_interpreter_on_catalog():
+    from affgebroid.catalog import all_entries
+
+    rng = np.random.default_rng(11)
+    for entry in all_entries():
+        model = entry.model
+        for _ in range(10):
+            x = model.chart.sample_base(rng)
+            model._cache = None  # both sides evaluate, neither reads the other's cache
+            got = ref.outcome(model.structure_at, x)
+            model._cache = None
+            assert got == ref.outcome(ref.structure_at, model, x), entry.name
+            assert ref.outcome(model.structure_grad_at, x) == ref.outcome(
+                ref.structure_grad_at, model, x
+            ), entry.name
+            a, v = model.chart.sample_a(rng), model.chart.sample_vstar(rng)
+            for field, point in [
+                (entry.lag.lagrangian, np.concatenate([a.x, a.y])),
+                (entry.ham.hamiltonian, np.concatenate([v.x, v.p])),
+            ]:
+                assert ref.outcome(field.eval_dual2, point) == ref.outcome(
+                    ref.field_eval_dual2, field, point
+                ), entry.name
+
+
+def test_compiled_structure_errors_match_interpreter():
+    chart = Chart(["x"], 2)
+    m = AffgebroidModel(chart, ["1/x"], [["x"], ["log(x)"]], c={(1, 2): ["exp(x)", "x^0.5"]})
+    for x in ([0.0], [-1.0], [800.0], [0.5]):
+        assert ref.outcome(m.structure_at, x) == ref.outcome(ref.structure_at, m, x)
+        assert ref.outcome(m.structure_grad_at, x) == ref.outcome(ref.structure_grad_at, m, x)
+    with pytest.raises(ValueError, match="expected 1 values"):
+        m.structure_at([0.5, 0.5])
+
+
+def test_validate_structure_needs_samples():
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            validate_structure(so3_adapter(), samples=samples)
+    with pytest.raises(ValueError, match="at least one sample point"):
+        validate_structure(so3_adapter(), sample_points=[])
