@@ -389,8 +389,14 @@ def _collect_vars(node, out):
 # already assigned is not evaluated again, so the first error a kernel raises
 # is the one a walk of the same trees in the same order would raise.
 
+def _pow_overflow(a, b):
+    return DomainError("pow overflow: %r^%r" % (a, b))
+
+
 _KERNEL_GLOBALS = {
     "_pow": _float_pow,
+    "_mpow": math.pow,
+    "_overflow": _pow_overflow,
     "_isfinite": math.isfinite,
     "DomainError": DomainError,
     "inf": math.inf,
@@ -413,7 +419,9 @@ def compile_trees(outputs, variables, steps=()):
     order, so that the error a kernel raises is the one evaluating them one
     by one would raise; a checked step whose value is not finite raises
     DomainError as ScalarField.eval does.  '/' raises DomainError on a zero
-    divisor, '^' goes through _float_pow and calls through the float helpers.
+    divisor, '^' goes through _float_pow and calls through the float helpers;
+    a power with a literal exponent that is a whole number >= 0 calls
+    math.pow directly, which is what _float_pow does for it.
     Equal subtrees share one temporary: a subtree is keyed by its operator
     and the temporaries of its operands, which is structural equality except
     that the literals 0 and -0 stay apart.
@@ -425,6 +433,7 @@ def compile_trees(outputs, variables, steps=()):
 
     def emit(node):
         nonlocal divides
+        whole_power = False
         t = type(node)
         if t is Num:
             return _literal(node.value)
@@ -437,6 +446,8 @@ def compile_trees(outputs, variables, steps=()):
             a, b = emit(node.left), emit(node.right)
             key = ("bin", node.op, a, b)
             if node.op == "^":
+                e = literal_value(node.right)
+                whole_power = e is not None and e >= 0.0 and e.is_integer()
                 expr = "_pow(%s, %s)" % (a, b)
             else:
                 expr = "%s %s %s" % (a, node.op, b)
@@ -451,12 +462,17 @@ def compile_trees(outputs, variables, steps=()):
         name = operand.get(key)
         if name is None:
             name = operand[key] = "t%d" % len(lines)
-            lines.append("%s = %s" % (name, expr))
+            if whole_power:
+                lines.append("try: %s = _mpow(%s, %s)" % (name, a, b))
+                lines.append("except OverflowError: raise _overflow(%s, %s) from None" % (a, b))
+            else:
+                lines.append("%s = %s" % (name, expr))
         return name
 
     for i, (tree, checked) in enumerate(steps):
         out = emit(tree)
-        if checked and not (type(tree) is Num and math.isfinite(tree.value)):
+        value = literal_value(tree)
+        if checked and not (value is not None and math.isfinite(value)):
             lines.append("if not _isfinite(%s): raise _nonfinite(%s, %d)" % (out, out, i))
     outs = [emit(tree) for tree in outputs]
     lines.append("return (%s)" % "".join(o + ", " for o in outs))
@@ -479,6 +495,57 @@ def compile_trees(outputs, variables, steps=()):
     exec(compile(source, "<kernel>", "exec"), namespace)
     # popped, so that the kernel and its globals form no reference cycle
     return namespace.pop("kernel")
+
+
+def literal_value(tree):
+    """The value of a literal tree, a number or a negated number; None for
+    any other tree."""
+    if type(tree) is Num:
+        return tree.value
+    if type(tree) is Neg and type(tree.arg) is Num:
+        return -tree.arg.value
+    return None
+
+
+def tree_product(a, b):
+    """a*b as a tree for assembling kernels: None (no term) when a factor is
+    None or the literal 0, and literal factors 1 and -1 dropped, which is
+    exact."""
+    if a is None or b is None:
+        return None
+    va, vb = literal_value(a), literal_value(b)
+    if va == 0.0 or vb == 0.0:
+        return None
+    if va == 1.0:
+        return b
+    if vb == 1.0:
+        return a
+    if va == -1.0:
+        return tree_negate(b)
+    if vb == -1.0:
+        return tree_negate(a)
+    return Bin("*", a, b)
+
+
+def tree_negate(a):
+    return a.arg if type(a) is Neg else Neg(a)
+
+
+def tree_sum(terms):
+    """Left-to-right sum of the trees in terms, skipping None and literal
+    zeros; a negated term is subtracted (a + -b is a - b exactly).  The
+    literal 0 when no term is left."""
+    out = None
+    for t in terms:
+        if t is None or literal_value(t) == 0.0:
+            continue
+        if out is None:
+            out = t
+        elif type(t) is Neg:
+            out = Bin("-", out, t.arg)
+        else:
+            out = Bin("+", out, t)
+    return Num(0.0) if out is None else out
 
 
 _F64 = np.dtype(float)

@@ -12,14 +12,17 @@ from .errors import NonFiniteState, StepUnderflow
 
 class Trajectory:
     """Sampled solution: times (k,), states (k, d), and a meta dict that
-    callers fill with labels (coordinate names, conserved quantities, ...)."""
+    callers fill with labels (coordinate names, conserved quantities, ...).
+    The integrators also keep slopes (k - 1, d), the field at every state
+    but the last, which they evaluated there as their first stage."""
 
-    __slots__ = ("times", "states", "meta")
+    __slots__ = ("times", "states", "meta", "slopes")
 
-    def __init__(self, times, states, meta=None):
+    def __init__(self, times, states, meta=None, slopes=None):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         self.meta = dict(meta or {})
+        self.slopes = slopes
 
     def __len__(self):
         return len(self.times)
@@ -53,12 +56,14 @@ def integrate_rk4(f, state0, t0, t1, dt):
     t0, t1 = float(t0), float(t1)
     times = [t]
     states = [state.copy()]
+    slopes = []
     step = 0
     # t is reconstructed as t0 + step*dt rather than accumulated, so rounding
     # drift cannot create a spurious sliver step at the end
     while t1 - t > 1e-15 * max(1.0, abs(t1)):
         h = min(dt, t1 - t)
         k1 = f(state)
+        slopes.append(k1)
         k2 = f(state + 0.5 * h * k1)
         k3 = f(state + 0.5 * h * k2)
         k4 = f(state + h * k3)
@@ -69,7 +74,11 @@ def integrate_rk4(f, state0, t0, t1, dt):
         times.append(t)
         states.append(state.copy())
     meta = {"method": "rk4", "dt": dt, "evals": 4 * step}
-    return Trajectory(np.array(times), np.array(states), meta)
+    return Trajectory(np.array(times), np.array(states), meta, _stack(slopes, state))
+
+
+def _stack(slopes, state):
+    return np.array(slopes, dtype=float).reshape(len(slopes), state.size)
 
 
 # Dormand-Prince 5(4) tableau
@@ -100,8 +109,10 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
     span = t1 - t
     times = [t]
     states = [state.copy()]
+    slopes = []
     if span == 0.0:
-        return Trajectory(np.array(times), np.array(states), {"method": "rk45", "evals": 0})
+        meta = {"method": "rk45", "evals": 0}
+        return Trajectory(np.array(times), np.array(states), meta, _stack(slopes, state))
     h = span / 100.0
     floor = 1e-14 * span
     nevals = 0
@@ -138,6 +149,7 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
             if err <= 1.0:
                 t += h
                 state = y5
+                slopes.append(k[0].copy())
                 naccept += 1
                 _check_finite(state, naccept, t)
                 times.append(t)
@@ -148,6 +160,7 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
         np.array(times),
         np.array(states),
         {"method": "rk45", "rtol": rtol, "atol": atol, "evals": nevals},
+        _stack(slopes, state),
     )
 
 
@@ -160,13 +173,13 @@ def time_derivative(times, values):
     if k < 3:
         raise ValueError("need at least 3 samples for second-order stencils")
     out = np.empty_like(values)
-    # difference form keeps constants exactly at derivative zero
-    for i in range(1, k - 1):
-        ha = times[i] - times[i - 1]
-        hb = times[i + 1] - times[i]
-        out[i] = (hb / (ha * (ha + hb))) * (values[i] - values[i - 1]) + (
-            ha / (hb * (ha + hb))
-        ) * (values[i + 1] - values[i])
+    # difference form keeps constants exactly at derivative zero; the weights
+    # are per interior point, one row each
+    ha = times[1:-1] - times[:-2]
+    hb = times[2:] - times[1:-1]
+    wa = (hb / (ha * (ha + hb)))[:, None]
+    wb = (ha / (hb * (ha + hb)))[:, None]
+    out[1:-1] = wa * (values[1:-1] - values[:-2]) + wb * (values[2:] - values[1:-1])
     ha = times[1] - times[0]
     hb = times[2] - times[1]
     out[0] = ((2 * ha + hb) / (ha * (ha + hb))) * (values[1] - values[0]) - (

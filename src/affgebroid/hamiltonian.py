@@ -8,15 +8,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ScalarField, parse
+from .expressions import ScalarField, Var, compile_trees, float_args, parse, tree_negate
+from .expressions import tree_product, tree_sum
 from .lagrangian import _unit, _wedge, bordered_volume_det
 
 
 class HamiltonianSystem:
     """A model with a Hamiltonian over (base, momentum) coordinates.
 
-    Evaluation goes through value/grad/fibre_hessian so a numerically induced
-    Hamiltonian (Legendre image of a Lagrangian) can drop in for a parsed one.
+    Evaluation goes through value/grad/fibre_hessian/motion so a numerically
+    induced Hamiltonian (Legendre image of a Lagrangian) can drop in for a
+    parsed one.
     """
 
     def __init__(self, model, hamiltonian):
@@ -32,6 +34,7 @@ class HamiltonianSystem:
                 % (hamiltonian.variables, names)
             )
         self.hamiltonian = hamiltonian
+        self._kernel = None
 
     def _point(self, x, p):
         return np.concatenate([np.asarray(x, float), np.asarray(p, float)])
@@ -48,6 +51,44 @@ class HamiltonianSystem:
     def fibre_hessian(self, x, p):
         names = self.model.chart.dual_names
         return self.hamiltonian.eval_dual2(self._point(x, p), active=names).hess
+
+    def motion(self, state):
+        """xdot, pdot and dH/dp at the state (x, p), as one flat tuple from
+        one kernel compiled on first use.  Its checked steps are the
+        structure fields, then the value of H, then its partials."""
+        if self._kernel is None:
+            model, h = self.model, self.hamiltonian
+            m = model.chart.dim_base
+            grad = [h._partial(j).ast for j in range(len(h.variables))]
+            steps = model.structure_steps() + [(h.ast, True)] + [(d, False) for d in grad]
+            p = [Var(name) for name in h.variables[m:]]
+            outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p)
+            self._kernel = compile_trees(outputs, h.variables, steps)
+        return self._kernel(*float_args(state, self.hamiltonian.variables))
+
+
+def motion_trees(s, dhdx, dhdp, p):
+    """The trees of xdot = rho0 + rho dH/dp, pdot = - rho dH/dx + C_0 p +
+    C_ba^g (dH/dp_b) p_g and dH/dp, one flat list, over the structure trees
+    s and the trees of dH/dx, dH/dp and the momenta."""
+    m, n = len(dhdx), len(dhdp)
+    xdot = [
+        tree_sum([s.rho0[i], tree_sum(tree_product(dhdp[a], s.rho[a][i]) for a in range(n))])
+        for i in range(m)
+    ]
+    pdot = [
+        tree_sum([
+            tree_negate(tree_sum(tree_product(s.rho[a][i], dhdx[i]) for i in range(m))),
+            tree_sum(tree_product(s.c0[a][g], p[g]) for g in range(n)),
+            tree_sum(
+                tree_product(tree_product(s.c[b][a][g], dhdp[b]), p[g])
+                for b in range(n)
+                for g in range(n)
+            ),
+        ])
+        for a in range(n)
+    ]
+    return xdot + pdot + list(dhdp)
 
 
 @dataclass
@@ -83,30 +124,21 @@ def omega_h(sys, point):
 
 def reeb_section(sys, point):
     """The unique section with eta(R) = 1 and omega contracted with R zero;
-    its projection drives the motion on the dual bundle."""
-    x, p = point.x, point.p
-    s = sys.model.structure_at(x)
-    dhdx, dhdp = sys.grad(x, p)
-    return np.concatenate([[1.0], dhdp, momentum_rate(s, dhdx, dhdp, p)])
-
-
-def momentum_rate(s, dhdx, dhdp, p):
-    """pdot = - rho dH/dx + C_0 p + momentum twist C_ba^g (dH/dp_b) p_g, from
-    the structure values s at the base point."""
-    return -(s.rho @ dhdx) + s.c0 @ p + np.einsum("bag,b,g->a", s.c, dhdp, p)
+    its projection drives the motion on the dual bundle.  Components
+    (1, dH/dp, pdot)."""
+    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
+    out = sys.motion(np.concatenate([point.x, point.p]))
+    return np.array((1.0,) + out[m + n :] + out[m : m + n])
 
 
 def hamilton_vector_field(sys):
     """Autonomous field on (x, p): xdot = anchor drift along dH/dp,
     pdot = - rho dH/dx + momentum twist."""
-    m = sys.model.chart.dim_base
+    k = sys.model.chart.dim_base + sys.model.chart.fibre_dim
+    motion = sys.motion
 
     def field(state):
-        x, p = state[:m], state[m:]
-        s = sys.model.structure_at(x)
-        dhdx, dhdp = sys.grad(x, p)
-        xdot = s.rho0 + dhdp @ s.rho
-        return np.concatenate([xdot, momentum_rate(s, dhdx, dhdp, p)])
+        return np.array(motion(state)[:k])
 
     return field
 

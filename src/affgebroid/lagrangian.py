@@ -3,14 +3,23 @@
 Prolongation vectors and covectors use the fixed basis order
 (reference direction, n fibre directions, n vertical directions); index 0 is
 the reference slot, 1..n the fibre block, n+1..2n the vertical block.
+
+The dynamics section and the vector field come from one compiled kernel per
+system, which returns the base velocity, the right side r of W xi = r and
+the fibre Hessian W; a generated LU solve then gives xi.  The regularity
+rule is the LU's: W is regular when its 1-norm condition number
+||W||_1 ||W^-1||_1 is below 1e12.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularLagrangian
-from .expressions import ScalarField, parse
+from .expressions import ScalarField, Var, compile_trees, float_args, parse, tree_negate
+from .expressions import tree_product, tree_sum
 
 
 class LagrangianSystem:
@@ -28,6 +37,8 @@ class LagrangianSystem:
                 "lagrangian bound to %r, chart wants %r" % (lagrangian.variables, names)
             )
         self.lagrangian = lagrangian
+        # compiled on first use: "el" and "legendre", see kernel
+        self._kernels = {}
 
     def derivs(self, x, y):
         """Value, base gradient, fibre gradient, mixed block and fibre Hessian
@@ -43,23 +54,167 @@ class LagrangianSystem:
         names = self.lagrangian.variables[m:]
         return self.lagrangian.eval_dual2(point, active=names).hess
 
+    def kernel(self, kind):
+        """A fused kernel over (x, y), compiled on first use.  kind "el"
+        returns the base velocity vel, r = rhs - vel d2L/dxdy and W row-major
+        as one flat tuple; kind "legendre" returns dL/dy and W."""
+        k = self._kernels.get(kind)
+        if k is None:
+            k = self._kernels[kind] = _compile(self, kind)
+        return k
 
-def _regularity(w):
-    """The regularity rule, shared by every solve and by is_regular: W is
-    regular when its condition number is below 1e12, which rescaling L leaves
-    unchanged.  Returns (flag, condition number); a W with a non-finite entry
-    counts as singular."""
-    cond = float(np.linalg.cond(w)) if np.isfinite(w).all() else float("inf")
-    return cond < 1e12, cond
+    def evaluate(self, kind, x, y):
+        """The kernel of that kind at (x, y)."""
+        return self.kernel(kind)(*float_args(list(x) + list(y), self.lagrangian.variables))
+
+
+def _compile(sys, kind):
+    # the checked steps run as the separate evaluations ran them: the
+    # structure fields (for "el"), the value of L, then the partials of L
+    # in the order eval_dual2 evaluates them
+    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
+    lag = sys.lagrangian
+    grad = [lag._partial(j) for j in range(m + n)]
+
+    def hess(r, s):
+        return grad[min(r, s)]._partial(max(r, s)).ast
+
+    w = [[hess(m + a, m + b) for b in range(n)] for a in range(n)]
+    upper = [w[a][b] for a in range(n) for b in range(a, n)]
+    w_flat = [t for row in w for t in row]
+    if kind == "legendre":
+        dldy = [d.ast for d in grad[m:]]
+        steps = [(lag.ast, True)] + [(t, False) for t in dldy + upper]
+        return compile_trees(dldy + w_flat, lag.variables, steps)
+    d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
+    partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
+    steps = sys.model.structure_steps() + [(lag.ast, True)] + [(t, False) for t in partials]
+    s = sys.model.structure_trees()
+    y = [Var(name) for name in lag.variables[m:]]
+    dldx, dldy = [d.ast for d in grad[:m]], [d.ast for d in grad[m:]]
+    vel = [
+        tree_sum([s.rho0[i], tree_sum(tree_product(y[a], s.rho[a][i]) for a in range(n))])
+        for i in range(m)
+    ]
+    coupling = [
+        [tree_sum([s.c0[a][g], tree_sum(tree_product(y[b], s.c[b][a][g]) for b in range(n))])
+         for g in range(n)]
+        for a in range(n)
+    ]
+    rhs = [
+        tree_sum([
+            tree_sum(tree_product(s.rho[a][i], dldx[i]) for i in range(m)),
+            tree_sum(tree_product(coupling[a][g], dldy[g]) for g in range(n)),
+        ])
+        for a in range(n)
+    ]
+    r = [
+        tree_sum([rhs[a], tree_negate(tree_sum(tree_product(vel[i], d2xy[i][a]) for i in range(m)))])
+        for a in range(n)
+    ]
+    return compile_trees(vel + r + w_flat, lag.variables, steps)
+
+
+# ---------------------------------------------------------------------------
+# the fibre solve and the regularity rule
+#
+# One LU with partial pivoting per fibre dimension n, generated as
+# straight-line Python and kept (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 9).  Besides xi it returns the exact 1-norm condition
+# number ||W||_1 ||W^-1||_1 (ch. 15): the columns of (LU)^-1 come from n unit
+# solves, and since the row permutation only permutes the columns of W^-1,
+# their largest absolute column sum is ||W^-1||_1.  The 1-norm condition lies
+# within a factor n of the 2-norm one and, like it, does not change when L
+# is scaled.
+
+COND_LIMIT = 1e12
+
+
+@functools.lru_cache(maxsize=None)
+def fibre_lu(n):
+    """The LU solve for n x n systems, f(w, b) -> (xi, cond), with w the n*n
+    entries of W row-major and b the right side, both sequences of floats.
+    xi is a tuple; a W with a non-finite entry or an exactly zero pivot gives
+    (None, inf), and a non-finite condition number is reported as inf."""
+    a = [["a%d_%d" % (i, j) for j in range(n)] for i in range(n)]
+    b = ["b%d" % i for i in range(n)]
+    cols = ["s%d" % j for j in range(n)]
+    lines = ["%s, = w" % ", ".join(e for row in a for e in row), "%s, = b" % ", ".join(b)]
+    for j in range(n):
+        lines.append("s%d = %s" % (j, " + ".join("abs(%s)" % a[i][j] for i in range(n))))
+    lines.append("if not _isfinite(%s): return None, inf" % " + ".join(cols))
+    lines.append("norm = max(%s)" % ", ".join(cols) if n > 1 else "norm = s0")
+    for k in range(n):
+        # the row of the largest pivot candidate swaps in whole, with the
+        # multipliers already stored left of column k and its entry of b
+        lines.append("big = abs(%s)" % a[k][k])
+        if k < n - 1:
+            lines.append("p = %d" % k)
+            for i in range(k + 1, n):
+                lines.append("t = abs(%s)" % a[i][k])
+                lines.append("if t > big: p, big = %d, t" % i)
+        lines.append("if big == 0.0: return None, inf")
+        for i in range(k + 1, n):
+            rk, ri = a[k] + [b[k]], a[i] + [b[i]]
+            lines.append(
+                "%sif p == %d: %s = %s"
+                % ("el" if i > k + 1 else "", i, ", ".join(rk + ri), ", ".join(ri + rk))
+            )
+        for i in range(k + 1, n):
+            lines.append("%s = %s / %s" % (a[i][k], a[i][k], a[k][k]))
+            for j in range(k + 1, n):
+                lines.append("%s = %s - %s * %s" % (a[i][j], a[i][j], a[i][k], a[k][j]))
+            lines.append("%s = %s - %s * %s" % (b[i], b[i], a[i][k], b[k]))
+    for i in reversed(range(n)):
+        subs = "".join(" - %s * x%d" % (a[i][j], j) for j in reversed(range(i + 1, n)))
+        lines.append("x%d = (%s%s) / %s" % (i, b[i], subs, a[i][i]))
+    # L^-1 below its unit diagonal, then (LU)^-1 = U^-1 L^-1 column by column
+    for j in range(n):
+        for i in range(j + 1, n):
+            subs = "".join(" - %s * y%d_%d" % (a[i][k], k, j) for k in range(j + 1, i))
+            lines.append("y%d_%d = -%s%s" % (i, j, a[i][j], subs))
+    for j in range(n):
+        for i in reversed(range(n)):
+            unit = "y%d_%d" % (i, j) if i > j else ("1.0" if i == j else "0.0")
+            subs = "".join(" - %s * z%d_%d" % (a[i][k], k, j) for k in reversed(range(i + 1, n)))
+            lines.append("z%d_%d = (%s%s) / %s" % (i, j, unit, subs, a[i][i]))
+    inv = ["%s" % " + ".join("abs(z%d_%d)" % (i, j) for i in range(n)) for j in range(n)]
+    lines.append("cond = norm * %s" % ("max(%s)" % ", ".join(inv) if n > 1 else inv[0]))
+    lines.append("if not cond < inf: cond = inf")
+    lines.append("return (%s), cond" % "".join("x%d, " % i for i in range(n)))
+    # the builtins and constants are default arguments, read as locals
+    source = "def lu(w, b, abs=abs, max=max, _isfinite=_isfinite, inf=inf):\n%s\n" % "\n".join(
+        "    " + ln for ln in lines
+    )
+    namespace = {"_isfinite": math.isfinite, "inf": math.inf}
+    exec(compile(source, "<lu%d>" % n, "exec"), namespace)
+    return namespace.pop("lu")
+
+
+def _fibre_solve(w, b):
+    # xi from the flat W and b, refused when W is singular under the rule
+    xi, cond = fibre_lu(len(b))(w, b)
+    if not cond < COND_LIMIT:
+        raise SingularLagrangian("fibre Hessian singular: condition number %.3e" % cond)
+    return xi
+
+
+def regularity(w):
+    """The regularity rule, shared by every fibre solve and by is_regular: W
+    is regular when its 1-norm condition number is below 1e12, which
+    rescaling L leaves unchanged.  Returns (flag, condition number); a W
+    with a non-finite entry counts as singular."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[0]
+    _, cond = fibre_lu(n)(w.ravel().tolist(), [0.0] * n)
+    return cond < COND_LIMIT, cond
 
 
 def solve_fibre_hessian(w, rhs):
-    """Linear solve with the fibre Hessian, refused when W is singular under
-    the regularity rule."""
-    ok, cond = _regularity(w)
-    if not ok:
-        raise SingularLagrangian("fibre Hessian singular: condition number %.3e" % cond)
-    return np.linalg.solve(w, rhs)
+    """Linear solve with the fibre Hessian, refused with SingularLagrangian
+    when W is singular under the regularity rule."""
+    w = np.asarray(w, dtype=float)
+    return np.array(_fibre_solve(w.ravel().tolist(), np.asarray(rhs, dtype=float).tolist()))
 
 
 def vertical_endomorphism(point, vec):
@@ -151,30 +306,29 @@ def cartan_data(sys, point, xi0=None):
 
 
 def is_regular(sys, point):
-    """Regularity of L at a point: nonsingular fibre Hessian.  Returns
-    (flag, condition number)."""
-    return _regularity(sys.fibre_hessian(point.x, point.y))
+    """Regularity of L at a point: nonsingular fibre Hessian under the rule
+    of regularity.  Returns (flag, condition number)."""
+    return regularity(sys.fibre_hessian(point.x, point.y))
 
 
 def el_section(sys, point):
     """Dynamics section at a point: components (1, y^a, xi^a) on the
     prolongation basis.  Requires a regular Lagrangian."""
-    x, y = point.x, point.y
-    _, _, _, d2xy, w, vel, rhs = _dynamics_pieces(sys, x, y)[1:]
-    xi = solve_fibre_hessian(w, rhs - vel @ d2xy)
-    return np.concatenate([[1.0], y, xi])
+    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
+    out = sys.evaluate("el", point.x, point.y)
+    return np.concatenate([[1.0], point.y, _fibre_solve(out[m + n :], out[m : m + n])])
 
 
 def el_vector_field(sys):
     """Autonomous field on (x, y) space integrating the dynamics:
     xdot = anchor drift, ydot = xi from the momentum equation."""
-    m = sys.model.chart.dim_base
+    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
+    names = sys.lagrangian.variables
+    kernel = sys.kernel("el")
 
     def field(state):
-        x, y = state[:m], state[m:]
-        s, _, _, _, d2xy, w, vel, rhs = _dynamics_pieces(sys, x, y)
-        xi = solve_fibre_hessian(w, rhs - vel @ d2xy)
-        return np.concatenate([vel, xi])
+        out = kernel(*float_args(state, names))
+        return np.array(out[:m] + _fibre_solve(out[m + n :], out[m : m + n]))
 
     return field
 

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDivergence
+from .errors import NewtonDivergence, SingularLagrangian
+from .expressions import Var, compile_trees, float_args
 from .flow import integrate_rk4
-from .hamiltonian import HamiltonianSystem, hamilton_vector_field
-from .lagrangian import el_vector_field, solve_fibre_hessian
+from .hamiltonian import HamiltonianSystem, hamilton_vector_field, motion_trees
+from .lagrangian import _fibre_solve, el_vector_field, solve_fibre_hessian
 from .model import APoint, VStarPoint
 
 
@@ -56,7 +57,8 @@ def _newton(fun_jac, z0, params):
 
 def leg(sys, a):
     """Fibre derivative of L: (x, y) -> (x, dL/dy)."""
-    return VStarPoint(a.x, sys.derivs(a.x, a.y)[2])
+    n = sys.model.chart.fibre_dim
+    return VStarPoint(a.x, sys.evaluate("legendre", a.x, a.y)[:n])
 
 
 def leg_extended(sys, a):
@@ -77,8 +79,8 @@ def leg_inverse(sys, v, guess=None, params=None):
     x, p = v.x, v.p
 
     def fun_jac(y):
-        _, _, dldy, _, w = sys.derivs(x, y)
-        return dldy - p, lambda r: solve_fibre_hessian(w, r)
+        out = sys.evaluate("legendre", x, y)
+        return np.array(out[:n]) - p, lambda r: np.array(_fibre_solve(out[n:], r.tolist()))
 
     y0 = np.zeros(n) if guess is None else np.array(guess, dtype=float)
     return APoint(x, _newton(fun_jac, y0, params))
@@ -104,6 +106,7 @@ class InducedHamiltonian(HamiltonianSystem):
         self.lag = lag_sys
         self.params = params or NewtonParams()
         self._warm = None
+        self._kernel = None
 
     def _match(self, x, p):
         a = leg_inverse(
@@ -125,6 +128,25 @@ class InducedHamiltonian(HamiltonianSystem):
         a = self._match(x, p)
         w = self.lag.derivs(a.x, a.y)[4]
         return np.linalg.inv(w)
+
+    def motion(self, state):
+        """As HamiltonianSystem.motion, from the same trees with the
+        structure values, dH/dx and dH/dp as free variables: the structure
+        is evaluated first, then grad runs the Newton solve."""
+        model = self.model
+        m, n = model.chart.dim_base, model.chart.fibre_dim
+        x, p = state[:m], state[m:]
+        values = model.structure_values(x)
+        dhdx, dhdp = self.grad(x, p)
+        if self._kernel is None:
+            gx = [Var("gx%d" % i) for i in range(m)]
+            gp = [Var("gp%d" % a) for a in range(n)]
+            pv = [Var("p%d" % a) for a in range(n)]
+            names = ["s%d" % k for k in range(len(values))] + [v.name for v in pv + gx + gp]
+            trees = motion_trees(model.structure_trees(free=True), gx, gp, pv)
+            self._kernel = compile_trees(trees, names)
+        args = float_args(p, model.chart.dual_names) + dhdx.tolist() + dhdp.tolist()
+        return self._kernel(*values, *args)
 
 
 class LegendrePair:
@@ -157,7 +179,9 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
         L = p (y - section) + (-H + section p).
     The section contribution cancels identically; callers can pass different
     sections to see the same value, which is the point of keeping the
-    argument.
+    argument.  The Newton steps solve with the momentum Hessian under the
+    regularity rule of the fibre solves, and a Hessian that fails it raises
+    NewtonDivergence("momentum Hessian singular").
     """
     params = params or NewtonParams()
     x, y = a.x, a.y
@@ -168,10 +192,9 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
         _, dhdp = sys.grad(x, p)
 
         def solve(r):
-            w = sys.fibre_hessian(x, p)
             try:
-                return np.linalg.solve(w, r)
-            except np.linalg.LinAlgError:
+                return solve_fibre_hessian(sys.fibre_hessian(x, p), r)
+            except SingularLagrangian:
                 raise NewtonDivergence("momentum Hessian singular") from None
 
         return dhdp - y, solve

@@ -12,7 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import Neg, Num, bind_row, compile_trees, derive_field, float_args
+from .expressions import (
+    Neg,
+    Num,
+    Var,
+    bind_row,
+    compile_trees,
+    derive_field,
+    float_args,
+    literal_value,
+)
 
 
 class Chart:
@@ -230,10 +239,8 @@ class AffgebroidModel:
         if self._const and self._cache is not None:
             return self._cache
         m, n = self.chart.dim_base, self.chart.fibre_dim
-        if self._values_kernel is None:
-            self._values_kernel = self._compile_values()
         # one flat array in the order rho0, rho, c0, c, each row-major
-        vals = np.array(self._values_kernel(*float_args(x, self.chart.base_names)))
+        vals = np.array(self.structure_values(x))
         anchor = vals[: (n + 1) * m].reshape(n + 1, m)
         rho0, rho = anchor[0], anchor[1:]
         c0 = vals[(n + 1) * m : (n + 1) * m + n * n].reshape(n, n)
@@ -246,19 +253,49 @@ class AffgebroidModel:
             self._cache = out
         return out
 
-    def _compile_values(self):
-        # C_ab^g for a > b is the negation of C_ba^g, the diagonal is zero
+    def _flat_trees(self):
+        # rho0, rho, c0, c, each row-major; C_ab^g for a > b is the negation
+        # of C_ba^g and the diagonal is zero
         n = self.chart.fibre_dim
         c = [[[Num(0.0)] * n for _ in range(n)] for _ in range(n)]
         for (a, b), row in self.c.items():
             for g, f in enumerate(row):
                 c[a - 1][b - 1][g] = f.ast
                 c[b - 1][a - 1][g] = Neg(f.ast)
-        outputs = [f.ast for f in self.rho0]
-        outputs += [f.ast for rows in (self.rho, self.c0) for row in rows for f in row]
-        outputs += [t for plane in c for row in plane for t in row]
-        steps = [(f.ast, True) for f, _ in self._slots()]
-        return compile_trees(outputs, self.chart.base_names, steps)
+        flat = [f.ast for f in self.rho0]
+        flat += [f.ast for rows in (self.rho, self.c0) for row in rows for f in row]
+        return flat + [t for plane in c for row in plane for t in row]
+
+    def structure_steps(self):
+        """The checked steps every evaluation of the structure runs first:
+        each field's value, in slot order."""
+        return [(f.ast, True) for f, _ in self._slots()]
+
+    def structure_trees(self, free=False):
+        """The structure functions as trees, in the layout of StructureValues
+        with nested lists for arrays.  With free=True, every tree that is not
+        a literal becomes the variable "s<k>", k its position in the flat
+        tuple structure_values returns."""
+        m, n = self.chart.dim_base, self.chart.fibre_dim
+        flat = self._flat_trees()
+        if free:
+            flat = [t if literal_value(t) is not None else Var("s%d" % k) for k, t in enumerate(flat)]
+        it = iter(flat)
+
+        def take(*shape):
+            if len(shape) == 1:
+                return [next(it) for _ in range(shape[0])]
+            return [take(*shape[1:]) for _ in range(shape[0])]
+
+        return StructureValues(take(m), take(n, m), take(n, n), take(n, n, n))
+
+    def structure_values(self, x):
+        """The structure values at x as one flat tuple of floats, in the
+        order of structure_trees(free=True)."""
+        if self._values_kernel is None:
+            names, steps = self.chart.base_names, self.structure_steps()
+            self._values_kernel = compile_trees(self._flat_trees(), names, steps)
+        return self._values_kernel(*float_args(x, self.chart.base_names))
 
     # full (n+1)-indexed arrays, slot 0 = reference direction e_0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import Trajectory, time_derivative
-from .hamiltonian import momentum_rate
+from .hamiltonian import reeb_section
 from .lagrangian import momentum_equation_rhs
 from .legendre import NewtonParams, leg_inverse
 from .model import APoint, JetPoint, PhasePoint, VStarPoint, _Point
@@ -120,9 +120,9 @@ def s_l_residual(sys, p, params=None):
 def s_h_point(sys, q):
     """The Hamiltonian dynamics submanifold, parametrized by the dual bundle:
     the momentum-side double point carried by the Reeb motion at q."""
-    s = sys.model.structure_at(q.x)
-    dhdx, dhdp = sys.grad(q.x, q.p)
-    return PhasePoint(q.x.copy(), q.p.copy(), dhdp, momentum_rate(s, dhdx, dhdp, q.p))
+    n = sys.model.chart.fibre_dim
+    r = reeb_section(sys, q)
+    return PhasePoint(q.x.copy(), q.p.copy(), r[1 : 1 + n], r[1 + n :])
 
 
 def lift_hamilton_trajectory(sys, traj):

@@ -174,24 +174,40 @@ def test_simulate_byte_deterministic(tmp_path):
 
 def test_simulate_matches_tree_interpreter(tmp_path, monkeypatch):
     # every shipped config in both modes, once on the compiled kernels and
-    # once with the evaluation methods swapped for the tree interpreter
+    # once with every kernel, the fused field kernels included, built by the
+    # tree interpreter's stand-in for compile_trees
+    import sys
+
     import tree_interpreter as ref
-    from affgebroid.expressions import ScalarField
-    from affgebroid.model import AffgebroidModel
 
     modes = ("lagrangian", "hamiltonian")
     runs = [(cfg, mode) for cfg in sorted(CONFIGS.glob("*.json")) for mode in modes]
     compiled = [tmp_path / ("compiled-%d.csv" % i) for i in range(len(runs))]
     for (cfg, mode), out in zip(runs, compiled):
         assert main(["simulate", str(cfg), "--mode", mode, "--out", str(out)]) == 0
-    monkeypatch.setattr(ScalarField, "eval", ref.field_eval)
-    monkeypatch.setattr(ScalarField, "eval_dual2", ref.field_eval_dual2)
-    monkeypatch.setattr(ScalarField, "value_grad", ref.field_value_grad)
-    monkeypatch.setattr(AffgebroidModel, "structure_at", ref.structure_at)
-    monkeypatch.setattr(AffgebroidModel, "structure_grad_at", ref.structure_grad_at)
+    built = []
+
+    def interpreted_kernel(outputs, variables, steps=()):
+        built.append(len(outputs))
+        return ref.compile_trees(outputs, variables, steps)
+
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("affgebroid")]
+    patched = [mod for mod in modules if hasattr(mod, "compile_trees")]
+    assert {mod.__name__ for mod in patched} >= {
+        "affgebroid.expressions", "affgebroid.model", "affgebroid.lagrangian",
+        "affgebroid.hamiltonian",
+    }
+    for mod in patched:
+        monkeypatch.setattr(mod, "compile_trees", interpreted_kernel)
     for (cfg, mode), out in zip(runs, compiled):
         interpreted = tmp_path / "interpreted.csv"
+        del built[:]
         assert main(["simulate", str(cfg), "--mode", mode, "--out", str(interpreted)]) == 0
+        # the fused field kernel went through the stand-in: (vel, r, W) or
+        # (xdot, pdot, dH/dp)
+        chart = load_config(cfg).chart
+        m, n = chart.dim_base, chart.fibre_dim
+        assert (m + n + n * n if mode == "lagrangian" else m + 2 * n) in built, (cfg.name, mode)
         assert interpreted.read_bytes() == out.read_bytes(), (cfg.name, mode)
 
 
@@ -204,6 +220,9 @@ def test_load_config_compiles_nothing():
         fields = [f for f, _ in model._slots()]
         fields += [bundle.lag_sys.lagrangian, bundle.ham_sys.hamiltonian]
         assert all(f._kernels == {} for f in fields)
+        # nor the fused field kernels of the two systems
+        assert bundle.lag_sys._kernels == {}
+        assert bundle.ham_sys._kernel is None
 
 
 def test_simulate_missing_expression_exits_2(tmp_path, capsys):

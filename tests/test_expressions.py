@@ -349,3 +349,29 @@ def test_compile_trees_shares_subtrees_and_keeps_error_order():
         kernel(10.0)
     # outputs are not checked
     assert compile_trees([big], ("x",))(10.0) == (math.inf,)
+
+
+def test_whole_number_powers_match_interpreter():
+    # a literal exponent that is a whole number >= 0 calls math.pow directly;
+    # values, overflow messages and the other exponents' errors are unchanged
+    names = ["x", "y"]
+    cases = [
+        ("x^2 + y^3", [1e200, 0.5]),
+        ("x^2 + y^3", [0.5, -1e150]),
+        ("x^0 + y^2", [0.0, -0.0]),
+        ("(x/y)^2", [1.0, 0.0]),
+        ("x^-2", [0.0, 1.0]),
+        ("x^2.5", [-1.0, 1.0]),
+        ("(x*1e308)^2 + log(y)", [10.0, -1.0]),
+        ("sin(x)^4 - cos(y)^3", [0.7, -0.3]),
+    ]
+    for source, point in cases:
+        f = parse(source, names)
+        for compiled, reference in [
+            (f.eval, ref.field_eval),
+            (f.value_grad, ref.field_value_grad),
+            (f.eval_dual2, ref.field_eval_dual2),
+        ]:
+            assert ref.outcome(compiled, point) == ref.outcome(reference, f, point), source
+    with pytest.raises(DomainError, match=r"pow overflow: 1e\+200\^2.0"):
+        parse("x^2", ["x"]).eval([1e200])

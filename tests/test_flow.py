@@ -109,3 +109,40 @@ def test_time_derivative_second_order_on_sin():
 def test_time_derivative_needs_three_samples():
     with pytest.raises(ValueError):
         time_derivative([0.0, 1.0], [[0.0], [1.0]])
+
+
+def _time_derivative_loop(times, values):
+    # the row-by-row form time_derivative replaced, as its reference
+    k = len(times)
+    out = np.empty_like(values)
+    for i in range(1, k - 1):
+        ha = times[i] - times[i - 1]
+        hb = times[i + 1] - times[i]
+        out[i] = (hb / (ha * (ha + hb))) * (values[i] - values[i - 1]) + (
+            ha / (hb * (ha + hb))
+        ) * (values[i + 1] - values[i])
+    out[0] = time_derivative(times[:3], values[:3])[0]
+    out[-1] = time_derivative(times[-3:], values[-3:])[-1]
+    return out
+
+
+def test_time_derivative_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in (3, 4, 17, 200):
+        times = np.cumsum(rng.uniform(1e-3, 0.3, size=k))
+        values = rng.normal(size=(k, 3)) * rng.uniform(1e-3, 1e3, size=3)
+        assert np.array_equal(time_derivative(times, values), _time_derivative_loop(times, values))
+
+
+def test_slopes_are_the_field_at_the_states():
+    def f(s):
+        return np.array([s[1], -np.sin(s[0])])
+
+    for traj in (
+        integrate_rk4(f, [1.0, 0.0], 0.0, 0.35, 0.1),
+        integrate_rk45(f, [1.0, 0.0], 0.0, 5.0),
+    ):
+        assert traj.slopes.shape == (len(traj) - 1, 2)
+        for state, slope in zip(traj.states, traj.slopes):
+            assert np.array_equal(slope, f(state))
+    assert integrate_rk45(f, [1.0, 0.0], 0.0, 0.0).slopes.shape == (0, 2)

@@ -5,7 +5,9 @@ field_eval, field_eval_dual2, field_value_grad, structure_at and
 structure_grad_at are the evaluation methods of ScalarField and
 AffgebroidModel as they were written on top of _eval; they take the field or
 the model as their first argument, so a test can also patch them onto the
-classes in place of the compiled methods.
+classes in place of the compiled methods.  compile_trees stands in for
+expressions.compile_trees, so that every kernel, the fused field kernels
+included, can be run by the interpreter instead.
 """
 
 import math
@@ -22,6 +24,7 @@ from affgebroid.expressions import (
     Var,
     _float_fn,
     _float_pow,
+    to_source,
 )
 from affgebroid.model import StructureValues
 
@@ -51,6 +54,24 @@ def _eval(node, env):
         return _float_pow(a, b)
     # t is Call
     return _float_fn(node.fn, _eval(node.arg, env))
+
+
+def compile_trees(outputs, variables, steps=()):
+    """A kernel with the signature and errors of the compiled one that walks
+    the trees: the steps in order, a checked step with a non-finite value
+    raising DomainError, then the outputs."""
+    variables = tuple(variables)
+
+    def kernel(*values):
+        env = dict(_CONSTANTS)
+        env.update(zip(variables, values))
+        for tree, checked in steps:
+            v = _eval(tree, env)
+            if checked and not math.isfinite(v):
+                raise DomainError("non-finite result %r from %r" % (v, to_source(tree)))
+        return tuple(_eval(tree, env) for tree in outputs)
+
+    return kernel
 
 
 def _env(field, values):
