@@ -5,7 +5,9 @@ or bad config, 3 runtime numeric failure (blow-up, singular fibre Hessian,
 stalled Newton or step underflow).
 
 Config schema, a single JSON object; unknown keys are rejected anywhere and
-reported with their path:
+reported with their path.  Numbers must be finite: NaN, Infinity, numbers
+beyond the float range and literals in expressions that overflow are config
+errors.
 
   chart        {"base": [names], "fibre_dim": n, "box": {name: [lo, hi]}}
                box entries are per-coordinate and optional (default [-1, 1]);
@@ -53,7 +55,6 @@ from .errors import (
     JacobiViolation,
     NewtonDivergence,
     NonFiniteState,
-    ParseError,
     SingularLagrangian,
     StepUnderflow,
 )
@@ -79,300 +80,238 @@ _NUMERIC_ERRORS = (
 
 
 def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # a finite JSON number: bool is an int to Python but not a number here,
+    # and an integer beyond the float range counts as infinite
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def _check_keys(obj, allowed, path):
-    if not isinstance(obj, dict):
+def _num(v, path):
+    if not _is_num(v):
+        raise ConfigError("%s: expected a number, got %r" % (path, v))
+    return float(v)
+
+
+def _int(v, path, least):
+    if type(v) is not int or v < least:
+        raise ConfigError(
+            "%s: expected a %s integer" % (path, "positive" if least else "nonnegative")
+        )
+    return v
+
+
+def _section(raw, path, allowed, required=()):
+    """raw as the object at path: no key outside allowed, and every required
+    key present."""
+    if not isinstance(raw, dict):
         raise ConfigError("%s: expected an object" % path)
-    for k in obj:
+    for k in raw:
         if k not in allowed:
             raise ConfigError(
                 "%s.%s: unknown key (allowed: %s)" % (path, k, ", ".join(sorted(allowed)))
             )
+    if not all(k in raw for k in required):
+        raise ConfigError(
+            "%s: %s %s required"
+            % (path, " and ".join(required), "are" if len(required) > 1 else "is")
+        )
+    return raw
 
 
-def _get_num(obj, key, path, default=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError("%s.%s: required number missing" % (path, key))
-        return default
-    v = obj[key]
-    if not _is_num(v):
-        raise ConfigError("%s.%s: expected a number, got %r" % (path, key, v))
-    return float(v)
-
-
-def _expr_row(v, length, path):
-    if not isinstance(v, list) or len(v) != length:
-        raise ConfigError("%s: expected a list of %d expressions" % (path, length))
-    out = []
+def _array(v, shape, path, numbers=False):
+    """Nested lists of the given shape at path: of numbers, returned as
+    floats, or of expressions (strings or numbers)."""
+    if len(shape) > 1:
+        if not isinstance(v, list) or len(v) != shape[0]:
+            raise ConfigError("%s: expected %d rows" % (path, shape[0]))
+        return [_array(row, shape[1:], "%s[%d]" % (path, i), numbers) for i, row in enumerate(v)]
+    if not isinstance(v, list) or len(v) != shape[0]:
+        what = "numbers" if numbers else "expressions"
+        raise ConfigError("%s: expected a list of %d %s" % (path, shape[0], what))
     for i, entry in enumerate(v):
-        if isinstance(entry, str) or _is_num(entry):
-            out.append(entry)
-        else:
-            raise ConfigError("%s[%d]: expected an expression string or number" % (path, i))
+        if not (_is_num(entry) or (not numbers and isinstance(entry, str))):
+            what = "a number" if numbers else "an expression string or number"
+            raise ConfigError("%s[%d]: expected %s" % (path, i, what))
+    return [float(entry) for entry in v] if numbers else v
+
+
+def _pairs(raw, n, path, numbers=False):
+    """A table of n-entry rows keyed "a,b" with 1 <= a < b <= n, as a dict
+    keyed by (a, b)."""
+    if not isinstance(raw, dict):
+        raise ConfigError("%s: expected an object" % path)
+    out = {}
+    for key, row in raw.items():
+        try:
+            a, b = map(int, key.split(","))
+        except ValueError:
+            a = b = 0
+        if not 1 <= a < b <= n:
+            raise ConfigError(
+                '%s.%s: keys must look like "a,b" with 1 <= a < b <= %d, got %r'
+                % (path, key, n, key)
+            )
+        out[(a, b)] = _array(row, (n,), "%s.%s" % (path, key), numbers)
     return out
 
 
-def _num_row(v, length, path):
-    if not isinstance(v, list) or len(v) != length:
-        raise ConfigError("%s: expected a list of %d numbers" % (path, length))
-    for i, entry in enumerate(v):
-        if not _is_num(entry):
-            raise ConfigError("%s[%d]: expected a number" % (path, i))
-    return [float(entry) for entry in v]
-
-
-def _pair_key(key, n, path):
-    parts = key.split(",")
+def _wrap(path, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs), its ParseError or ValueError reported as a
+    config error at path; a JacobiViolation passes, so main exits 1 on it."""
     try:
-        a, b = (int(p) for p in parts)
-    except ValueError:
-        a = b = -1
-    if len(parts) != 2 or not (1 <= a < b <= n):
-        raise ConfigError(
-            '%s: keys must look like "a,b" with 1 <= a < b <= %d, got %r' % (path, n, key)
-        )
-    return a, b
+        return ctor(*args, **kwargs)
+    except JacobiViolation:
+        raise
+    except ValueError as e:  # ParseError included
+        raise ConfigError("%s: %s" % (path, e))
 
 
-def _load_chart(raw):
-    _check_keys(raw, {"base", "fibre_dim", "box"}, "chart")
+def _chart(raw):
+    _section(raw, "chart", ("base", "fibre_dim", "box"))
     base = raw.get("base")
     if not isinstance(base, list) or not base or not all(isinstance(s, str) for s in base):
         raise ConfigError("chart.base: expected a nonempty list of coordinate names")
-    fdim = raw.get("fibre_dim")
-    if not isinstance(fdim, int) or isinstance(fdim, bool) or fdim < 1:
-        raise ConfigError("chart.fibre_dim: expected a positive integer")
+    n = _int(raw.get("fibre_dim"), "chart.fibre_dim", 1)
     box = raw.get("box", {})
     if not isinstance(box, dict):
         raise ConfigError("chart.box: expected an object keyed by coordinate name")
-    names = list(base)
-    ynames = ["y%d" % (a + 1) for a in range(fdim)]
-    pnames = ["p%d" % (a + 1) for a in range(fdim)]
-    known = set(names) | set(ynames) | set(pnames)
+    axes = (base, ["y%d" % a for a in range(1, n + 1)], ["p%d" % a for a in range(1, n + 1)])
     intervals = {}
-    for k, v in box.items():
-        if k not in known:
-            raise ConfigError("chart.box.%s: not a coordinate of this chart" % k)
-        iv = _num_row(v, 2, "chart.box.%s" % k)
+    for name, v in box.items():
+        if not any(name in names for names in axes):
+            raise ConfigError("chart.box.%s: not a coordinate of this chart" % name)
+        iv = intervals[name] = _array(v, (2,), "chart.box.%s" % name, numbers=True)
         if not iv[0] < iv[1]:
-            raise ConfigError("chart.box.%s: empty interval %r" % (k, iv))
-        intervals[k] = tuple(iv)
-    pick = lambda nm: intervals.get(nm, (-1.0, 1.0))
-    try:
-        return Chart(
-            base,
-            fdim,
-            base_box=[pick(nm) for nm in names],
-            fibre_box=[pick(nm) for nm in ynames],
-            dual_box=[pick(nm) for nm in pnames],
-        )
-    except ValueError as e:
-        raise ConfigError("chart: %s" % e)
+            raise ConfigError("chart.box.%s: empty interval %r" % (name, iv))
+    boxes = ([intervals.get(nm, (-1.0, 1.0)) for nm in names] for names in axes)
+    return _wrap("chart", Chart, base, n, *boxes)
 
 
-def _load_structure(raw, chart):
+def _structure(raw, chart):
     m, n = chart.dim_base, chart.fibre_dim
-    _check_keys(raw, {"rho0", "rho", "c0", "c"}, "structure")
-    if "rho0" not in raw or "rho" not in raw:
-        raise ConfigError("structure: rho0 and rho are required")
-    rho0 = _expr_row(raw["rho0"], m, "structure.rho0")
-    rho_raw = raw["rho"]
-    if not isinstance(rho_raw, list) or len(rho_raw) != n:
-        raise ConfigError("structure.rho: expected %d rows" % n)
-    rho = [_expr_row(r, m, "structure.rho[%d]" % i) for i, r in enumerate(rho_raw)]
-    c0 = None
-    if "c0" in raw:
-        c0_raw = raw["c0"]
-        if not isinstance(c0_raw, list) or len(c0_raw) != n:
-            raise ConfigError("structure.c0: expected %d rows" % n)
-        c0 = [_expr_row(r, n, "structure.c0[%d]" % i) for i, r in enumerate(c0_raw)]
-    c = None
-    if "c" in raw:
-        if not isinstance(raw["c"], dict):
-            raise ConfigError("structure.c: expected an object")
-        c = {}
-        for key, row in raw["c"].items():
-            pair = _pair_key(key, n, "structure.c.%s" % key)
-            c[pair] = _expr_row(row, n, "structure.c.%s" % key)
-    try:
-        return AffgebroidModel(chart, rho0, rho, c0=c0, c=c)
-    except (ParseError, ValueError) as e:
-        raise ConfigError("structure: %s" % e)
+    _section(raw, "structure", ("rho0", "rho", "c0", "c"), ("rho0", "rho"))
+    shapes = {"rho0": (m,), "rho": (n, m), "c0": (n, n)}
+    rows = {k: _array(raw[k], shape, "structure." + k) for k, shape in shapes.items() if k in raw}
+    c = _pairs(raw["c"], n, "structure.c") if "c" in raw else None
+    return _wrap("structure", AffgebroidModel, chart, c=c, **rows)
 
 
-def _load_atiyah(raw, chart):
-    _check_keys(raw, {"algebra_dim", "c", "k0", "k"}, "atiyah")
-    r = raw.get("algebra_dim")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ConfigError("atiyah.algebra_dim: expected a positive integer")
+def _atiyah(raw, chart):
+    _section(raw, "atiyah", ("algebra_dim", "c", "k0", "k"), ("k0", "k"))
+    r = _int(raw.get("algebra_dim"), "atiyah.algebra_dim", 1)
     m = chart.dim_base - 1
     if chart.fibre_dim != m + r:
         raise ConfigError(
             "chart.fibre_dim: atiyah charts need spatial + algebra = %d, got %d"
             % (m + r, chart.fibre_dim)
         )
-    craw = raw.get("c", {})
-    if not isinstance(craw, dict):
-        raise ConfigError("atiyah.c: expected an object")
-    consts = {}
-    for key, row in craw.items():
-        pair = _pair_key(key, r, "atiyah.c.%s" % key)
-        consts[pair] = _num_row(row, r, "atiyah.c.%s" % key)
-    if "k0" not in raw or "k" not in raw:
-        raise ConfigError("atiyah: k0 and k are required")
-    k0 = _expr_row(raw["k0"], r, "atiyah.k0")
-    kraw = raw["k"]
-    if not isinstance(kraw, list) or len(kraw) != m:
-        raise ConfigError("atiyah.k: expected %d rows" % m)
-    k = [_expr_row(row, r, "atiyah.k[%d]" % i) for i, row in enumerate(kraw)]
-    try:
-        return AtiyahSpec(
-            chart.base_names,
-            r,
-            consts,
-            k0,
-            k,
-            base_box=chart.base_box,
-            fibre_box=chart.fibre_box,
-            dual_box=chart.dual_box,
-        )
-    except (ParseError, ValueError) as e:
-        if isinstance(e, JacobiViolation):
-            raise
-        raise ConfigError("atiyah: %s" % e)
+    return _wrap(
+        "atiyah",
+        AtiyahSpec,
+        chart.base_names,
+        r,
+        _pairs(raw.get("c", {}), r, "atiyah.c", numbers=True),
+        _array(raw["k0"], (r,), "atiyah.k0"),
+        _array(raw["k"], (m, r), "atiyah.k"),
+        base_box=chart.base_box,
+        fibre_box=chart.fibre_box,
+        dual_box=chart.dual_box,
+    )
 
 
-def _load_initial(raw, chart):
-    _check_keys(raw, {"x", "y", "p"}, "initial")
-    m, n = chart.dim_base, chart.fibre_dim
-    out = SimpleNamespace(x=None, y=None, p=None)
-    if "x" in raw:
-        out.x = np.array(_num_row(raw["x"], m, "initial.x"))
-    if "y" in raw:
-        out.y = np.array(_num_row(raw["y"], n, "initial.y"))
-    if "p" in raw:
-        out.p = np.array(_num_row(raw["p"], n, "initial.p"))
-    return out
+def _energy(raw, key, system, model):
+    """The system of the energy function at key, or None if there is none."""
+    source = raw.get(key)
+    if source is None:
+        return None
+    if not isinstance(source, str):
+        raise ConfigError("%s: expected an expression string" % key)
+    return _wrap(key, system, model, source)
 
 
-def _load_integrator(raw):
+def _initial(raw, chart):
+    _section(raw, "initial", ("x", "y", "p"))
+    sizes = {"x": chart.dim_base, "y": chart.fibre_dim, "p": chart.fibre_dim}
+    return SimpleNamespace(**{
+        k: np.array(_array(raw[k], (size,), "initial." + k, numbers=True)) if k in raw else None
+        for k, size in sizes.items()
+    })
+
+
+# per method: its step-size keys with their defaults, all of which must be
+# positive, and the error when one is not; t0 and t1 are common to both
+_METHODS = {
+    "rk4": ({"dt": 1e-3}, "integrator.dt: must be positive"),
+    "rk45": ({"rtol": 1e-8, "atol": 1e-10}, "integrator tolerances must be positive"),
+}
+
+
+def _integrator(raw):
     if not isinstance(raw, dict):
         raise ConfigError("integrator: expected an object")
     method = raw.get("method", "rk4")
-    if method == "rk4":
-        _check_keys(raw, {"method", "dt", "t0", "t1"}, "integrator")
-        out = SimpleNamespace(
-            method="rk4",
-            dt=_get_num(raw, "dt", "integrator", default=1e-3),
-            t0=_get_num(raw, "t0", "integrator", default=0.0),
-            t1=_get_num(raw, "t1", "integrator", default=1.0),
-        )
-        if out.dt <= 0.0:
-            raise ConfigError("integrator.dt: must be positive")
-    elif method == "rk45":
-        _check_keys(raw, {"method", "rtol", "atol", "t0", "t1"}, "integrator")
-        out = SimpleNamespace(
-            method="rk45",
-            rtol=_get_num(raw, "rtol", "integrator", default=1e-8),
-            atol=_get_num(raw, "atol", "integrator", default=1e-10),
-            t0=_get_num(raw, "t0", "integrator", default=0.0),
-            t1=_get_num(raw, "t1", "integrator", default=1.0),
-        )
-        if out.rtol <= 0.0 or out.atol <= 0.0:
-            raise ConfigError("integrator tolerances must be positive")
-    else:
-        raise ConfigError("integrator.method: expected rk4 or rk45, got %r" % method)
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ConfigError("integrator.method: expected rk4 or rk45, got %r" % (method,))
+    steps, nonpositive = _METHODS[method]
+    defaults = dict(steps, t0=0.0, t1=1.0)
+    _section(raw, "integrator", {"method", *defaults})
+    out = SimpleNamespace(
+        method=method,
+        **{k: _num(raw.get(k, d), "integrator." + k) for k, d in defaults.items()},
+    )
+    if min(getattr(out, k) for k in steps) <= 0.0:
+        raise ConfigError(nonpositive)
     if not out.t1 > out.t0:
         raise ConfigError("integrator: t1 must exceed t0")
     return out
+
+
+def _newton(raw):
+    _section(raw, "newton", ("tol", "max_iter"))
+    tol = _num(raw.get("tol", 1e-12), "newton.tol")
+    if tol <= 0.0:
+        raise ConfigError("newton.tol: must be positive")
+    return NewtonParams(tol=tol, max_iter=_int(raw.get("max_iter", 50), "newton.max_iter", 1))
+
+
+_TOP_KEYS = ("chart", "structure", "atiyah", "lagrangian", "hamiltonian", "initial",
+             "integrator", "newton", "seed")
 
 
 def load_config(path):
     """Parse and schema-check a JSON config; everything downstream works off
     the bundle this returns."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
         raise ConfigError("%s: invalid JSON, line %d column %d: %s" % (path, e.lineno, e.colno, e.msg))
+    except ValueError as e:  # bytes that are not UTF-8, or an integer too long to convert
+        raise ConfigError("%s: invalid JSON: %s" % (path, e))
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    _check_keys(
-        raw,
-        {"chart", "structure", "atiyah", "lagrangian", "hamiltonian", "initial",
-         "integrator", "newton", "seed"},
-        "config",
-    )
-    if "chart" not in raw:
-        raise ConfigError("config: chart is required")
-    chart = _load_chart(raw["chart"])
-    has_structure = "structure" in raw
-    has_atiyah = "atiyah" in raw
-    if has_structure == has_atiyah:
+    _section(raw, "config", _TOP_KEYS, ("chart",))
+    chart = _chart(raw["chart"])
+    if ("structure" in raw) == ("atiyah" in raw):
         raise ConfigError("config: exactly one of structure/atiyah is required")
-    spec = None
-    if has_atiyah:
-        spec = _load_atiyah(raw["atiyah"], chart)
-        model = reduce_spec(spec)
-    else:
-        model = _load_structure(raw["structure"], chart)
-    lag = raw.get("lagrangian")
-    if lag is not None and not isinstance(lag, str):
-        raise ConfigError("lagrangian: expected an expression string")
-    ham = raw.get("hamiltonian")
-    if ham is not None and not isinstance(ham, str):
-        raise ConfigError("hamiltonian: expected an expression string")
-    initial = _load_initial(raw.get("initial", {}), chart)
-    integ = _load_integrator(raw.get("integrator", {}))
-    newton_raw = raw.get("newton", {})
-    _check_keys(newton_raw, {"tol", "max_iter"}, "newton")
-    ntol = _get_num(newton_raw, "tol", "newton", default=1e-12)
-    niter = newton_raw.get("max_iter", 50)
-    if not isinstance(niter, int) or isinstance(niter, bool) or niter < 1:
-        raise ConfigError("newton.max_iter: expected a positive integer")
-    if ntol <= 0.0:
-        raise ConfigError("newton.tol: must be positive")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("seed: expected a nonnegative integer")
-    bundle = SimpleNamespace(
+    spec = _atiyah(raw["atiyah"], chart) if "atiyah" in raw else None
+    model = _structure(raw["structure"], chart) if spec is None else reduce_spec(spec)
+    return SimpleNamespace(
         raw=raw,
         chart=chart,
         model=model,
         spec=spec,
-        lagrangian=lag,
-        hamiltonian=ham,
-        initial=initial,
-        integrator=integ,
-        newton=NewtonParams(tol=ntol, max_iter=niter),
-        seed=seed,
+        lagrangian=raw.get("lagrangian"),
+        hamiltonian=raw.get("hamiltonian"),
+        # parse errors in the energy functions surface here, with their key
+        lag_sys=_energy(raw, "lagrangian", LagrangianSystem, model),
+        ham_sys=_energy(raw, "hamiltonian", HamiltonianSystem, model),
+        initial=_initial(raw.get("initial", {}), chart),
+        integrator=_integrator(raw.get("integrator", {})),
+        newton=_newton(raw.get("newton", {})),
+        seed=_int(raw.get("seed", 0), "seed", 0),
     )
-    _bind_expressions(bundle)
-    return bundle
-
-
-def _bind_expressions(bundle):
-    # parse errors in the energy functions are config errors, so surface them
-    # at load time with their key
-    try:
-        if bundle.lagrangian is not None:
-            bundle.lag_sys = LagrangianSystem(bundle.model, bundle.lagrangian)
-        else:
-            bundle.lag_sys = None
-    except (ParseError, ValueError) as e:
-        raise ConfigError("lagrangian: %s" % e)
-    try:
-        if bundle.hamiltonian is not None:
-            bundle.ham_sys = HamiltonianSystem(bundle.model, bundle.hamiltonian)
-        else:
-            bundle.ham_sys = None
-    except (ParseError, ValueError) as e:
-        raise ConfigError("hamiltonian: %s" % e)
 
 
 def _fmt(v):

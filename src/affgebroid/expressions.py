@@ -9,6 +9,7 @@ Grammar (infix, left associative except '^'):
 
 Unary minus binds looser than '^', so -x^2 means -(x^2).  Builtin functions:
 sin cos tan exp log sqrt abs.  Constants: pi, e (reserved, cannot be variables).
+A NUMBER beyond the float range is a ParseError.
 
 Evaluation is compiled, not interpreted: compile_trees turns a list of trees
 into one generated Python function of straight-line code with shared
@@ -17,8 +18,8 @@ its value kernel, and one derivative kernel per set of active variables, on
 first use and keeps them.  Derivatives are exact and symbolic: derive_field
 differentiates the tree and folds constants, each field caches its partials
 (and their partials for the Hessian), and the value and derivative trees go
-into one kernel.  Central finite differences (fd_grad / fd_hess) stay as the
-independent check.
+into one kernel.  The tests keep central finite differences as the
+independent check on them.
 """
 
 import math
@@ -78,7 +79,10 @@ def _tokenize(source):
                     while j < n and source[j].isdigit():
                         j += 1
                 # otherwise the e/E starts a name token, e.g. "2e" in "2*e"
-            toks.append((_T_NUM, source[i:j], i))
+            text = source[i:j]
+            if math.isinf(float(text)):
+                raise ParseError("number %r out of range at position %d" % (text, i))
+            toks.append((_T_NUM, text, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -649,53 +653,6 @@ class ScalarField:
         """Value and gradient only; returns (value, gradient array)."""
         d = self._derivatives(values, active, False)
         return d.val, d.grad
-
-    def fd_grad(self, values, active=None, step=1e-5):
-        """Central finite-difference gradient, the independent check on the
-        symbolic derivatives."""
-        base = [float(v) for v in values]
-        idx = self._active_indices(active)
-        g = np.zeros(len(idx))
-        for slot, j in enumerate(idx):
-            up = list(base)
-            dn = list(base)
-            up[j] += step
-            dn[j] -= step
-            g[slot] = (self.eval(up) - self.eval(dn)) / (2.0 * step)
-        return g
-
-    def fd_hess(self, values, active=None, step=1e-4):
-        base = [float(v) for v in values]
-        idx = self._active_indices(active)
-        k = len(idx)
-        h = np.zeros((k, k))
-        f0 = self.eval(base)
-        for s1, j1 in enumerate(idx):
-            up = list(base)
-            dn = list(base)
-            up[j1] += step
-            dn[j1] -= step
-            h[s1, s1] = (self.eval(up) - 2.0 * f0 + self.eval(dn)) / (step * step)
-            for s2 in range(s1 + 1, k):
-                j2 = idx[s2]
-                pp = list(base)
-                pm = list(base)
-                mp = list(base)
-                mm = list(base)
-                pp[j1] += step
-                pp[j2] += step
-                pm[j1] += step
-                pm[j2] -= step
-                mp[j1] -= step
-                mp[j2] += step
-                mm[j1] -= step
-                mm[j2] -= step
-                v = (self.eval(pp) - self.eval(pm) - self.eval(mp) + self.eval(mm)) / (
-                    4.0 * step * step
-                )
-                h[s1, s2] = v
-                h[s2, s1] = v
-        return h
 
     def is_constant(self):
         used = set()

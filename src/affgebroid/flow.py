@@ -82,7 +82,6 @@ def _stack(slopes, state):
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -92,7 +91,6 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -115,19 +113,21 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
         return Trajectory(np.array(times), np.array(states), meta, _stack(slopes, state))
     h = span / 100.0
     floor = 1e-14 * span
-    nevals = 0
+    k = np.empty((7, state.size))
     naccept = 0
     # overflow inside trial stages is handled by rejection, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # first same as last: the seventh stage point becomes the new state,
+        # so its stage is the next step's first, and a rejected step keeps
+        # the first stage it had
+        k[0] = f(state)
+        nevals = 1
         while t < t1 - 1e-15 * max(1.0, abs(t1)):
             h = min(h, t1 - t)
             if t1 - t - h < floor:
                 h = t1 - t  # stretch to the end rather than leave a sliver
             if h < floor:
                 raise StepUnderflow("step %g below floor %g at t=%.6g" % (h, floor, t))
-            k = np.empty((7, state.size))
-            k[0] = f(state)
-            nevals += 1
             bad = False
             for i in range(1, 7):
                 y = state + h * (np.array(_DP_A[i]) @ k[:i])
@@ -139,17 +139,19 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
             if bad or not np.all(np.isfinite(k)):
                 h *= 0.2
                 continue
-            y5 = state + h * (_DP_B5 @ k)
+            # the last row of the tableau is the fifth-order weights, so the
+            # seventh stage point y is the fifth-order solution
             err_vec = h * (_DP_E @ k)
-            scale = atol + rtol * np.maximum(np.abs(state), np.abs(y5))
+            scale = atol + rtol * np.maximum(np.abs(state), np.abs(y))
             err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if not np.isfinite(err) or not np.all(np.isfinite(y5)):
+            if not np.isfinite(err):
                 h *= 0.2
                 continue
             if err <= 1.0:
                 t += h
-                state = y5
+                state = y
                 slopes.append(k[0].copy())
+                k[0] = k[6]
                 naccept += 1
                 _check_finite(state, naccept, t)
                 times.append(t)

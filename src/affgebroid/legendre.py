@@ -90,8 +90,7 @@ def h_from_L(sys, v, guess=None, params=None):
     """Hamiltonian induced by L at a dual point: p y - L at the matched
     velocity."""
     a = leg_inverse(sys, v, guess=guess, params=params)
-    lval = sys.derivs(a.x, a.y)[0]
-    return float(v.p @ a.y) - lval
+    return float(v.p @ a.y) - sys.lagrangian.eval(np.concatenate([a.x, a.y]))
 
 
 class InducedHamiltonian(HamiltonianSystem):
@@ -117,11 +116,14 @@ class InducedHamiltonian(HamiltonianSystem):
 
     def value(self, x, p):
         a = self._match(x, p)
-        return float(np.asarray(p, float) @ a.y) - self.lag.derivs(a.x, a.y)[0]
+        return float(np.asarray(p, float) @ a.y) - self.lag.lagrangian.eval(
+            np.concatenate([a.x, a.y])
+        )
 
     def grad(self, x, p):
         a = self._match(x, p)
-        dldx = self.lag.derivs(a.x, a.y)[1]
+        point = np.concatenate([a.x, a.y])
+        _, dldx = self.lag.lagrangian.value_grad(point, active=self.model.chart.base_names)
         return -dldx, a.y.copy()
 
     def fibre_hessian(self, x, p):

@@ -75,9 +75,6 @@ class Chart:
     def dual_names(self):
         return tuple("p%d" % (a + 1) for a in range(self.fibre_dim))
 
-    def contains_base(self, x):
-        return all(lo <= v <= hi for v, (lo, hi) in zip(x, self.base_box))
-
     def _draw(self, rng, box):
         return np.array([rng.uniform(lo, hi) for lo, hi in box])
 
@@ -223,18 +220,6 @@ class AffgebroidModel:
     def is_constant_structure(self):
         return self._const
 
-    def c_value(self, a, b, g, x):
-        """C_ab^g at x, for any 1-based a, b: reads of the swapped pair are the
-        exact negation, diagonal reads are 0."""
-        n = self.chart.fibre_dim
-        if not (1 <= a <= n and 1 <= b <= n and 1 <= g <= n):
-            raise IndexError("indices out of range")
-        if a == b:
-            return 0.0
-        if a < b:
-            return self.c[(a, b)][g - 1].eval(x) if (a, b) in self.c else 0.0
-        return -(self.c[(b, a)][g - 1].eval(x)) if (b, a) in self.c else 0.0
-
     def structure_at(self, x):
         if self._const and self._cache is not None:
             return self._cache
@@ -296,21 +281,6 @@ class AffgebroidModel:
             names, steps = self.chart.base_names, self.structure_steps()
             self._values_kernel = compile_trees(self._flat_trees(), names, steps)
         return self._values_kernel(*float_args(x, self.chart.base_names))
-
-    # full (n+1)-indexed arrays, slot 0 = reference direction e_0
-
-    def full_anchor_at(self, x):
-        s = self.structure_at(x)
-        return np.vstack([s.rho0[None, :], s.rho])
-
-    def full_c_at(self, x):
-        n = self.chart.fibre_dim
-        s = self.structure_at(x)
-        full = np.zeros((n + 1, n + 1, n + 1))
-        full[0, 1:, 1:] = s.c0
-        full[1:, 0, 1:] = -s.c0
-        full[1:, 1:, 1:] = s.c
-        return full
 
     def structure_grad_at(self, x):
         """d/dx of the full anchor and bracket arrays: (n+1, m, m) indexed
@@ -417,11 +387,17 @@ def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
     points = [np.asarray(x, dtype=float) for x in sample_points]
     if not points:
         raise ValueError("structure validation needs at least one sample point")
+    n = model.chart.fibre_dim
     anchor, jacobi = [], []
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        rho = np.stack([model.full_anchor_at(x) for x in block])  # (k, N, m), N = n + 1
-        cf = np.stack([model.full_c_at(x) for x in block])        # (k, N, N, N)
+        # the anchor and bracket over the indices 0..n, slot 0 = e_0
+        values = [model.structure_at(x) for x in block]
+        rho = np.stack([np.vstack([s.rho0, s.rho]) for s in values])  # (k, N, m), N = n + 1
+        cf = np.zeros((len(block), n + 1, n + 1, n + 1))              # (k, N, N, N)
+        cf[:, 0, 1:, 1:] = [s.c0 for s in values]
+        cf[:, 1:, 0, 1:] = -cf[:, 0, 1:, 1:]
+        cf[:, 1:, 1:, 1:] = [s.c for s in values]
         grads = [model.structure_grad_at(x) for x in block]
         rg = np.stack([g[0] for g in grads])                      # (k, N, m, m)
         cg = np.stack([g[1] for g in grads])                      # (k, N, N, N, m)

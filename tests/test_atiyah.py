@@ -24,6 +24,8 @@ from affgebroid.errors import JacobiViolation
 from affgebroid.expressions import parse
 from affgebroid.model import validate_structure
 
+from model_reference import c_value
+
 
 def test_flat_curvature_is_zero():
     spec = flat_spec(m=2, r=2)
@@ -119,8 +121,8 @@ def test_reduce_packs_algebra_block_last():
     x = np.array([0.2, 0.9])
     # algebra indices 1,2 sit at fibre slots 2,3 and their bracket hits
     # slot 4 with the constant c_12^3 = 1; spatial targets stay empty
-    assert model.c_value(2, 3, 4, x) == 1.0
-    assert model.c_value(2, 3, 1, x) == 0.0
+    assert c_value(model, 2, 3, 4, x) == 1.0
+    assert c_value(model, 2, 3, 1, x) == 0.0
     assert model.rho[0][1].eval(x) == 1.0
     assert model.rho[1][0].eval(x) == 0.0
 

@@ -83,12 +83,17 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"chart": [,}')
     assert main(["validate", str(path)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: %s: invalid JSON, line 1 column 12: Expecting value\n" % path
+    )
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
-    assert main(["validate", str(tmp_path / "nope.json")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+    path = str(tmp_path / "nope.json")
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot read %s: [Errno 2] No such file or directory: %r\n" % (path, path)
+    )
 
 
 def test_structure_and_atiyah_together_exit_2(tmp_path, capsys):
@@ -129,7 +134,9 @@ def test_jacobi_violating_algebra_exits_1(tmp_path, capsys):
         },
     }
     assert main(["validate", write_config(tmp_path, cfg)]) == 1
-    assert "Jacobi" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "validation failure: structure constants break the Jacobi identity, residual 1.000e+00\n"
+    )
 
 
 def test_simulate_oscillator_tracks_cosine(tmp_path):
@@ -379,3 +386,254 @@ def test_atiyah_expand_requires_atiyah_config(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     assert main(["atiyah-expand", OSC, "--out", out]) == 2
     assert "atiyah" in capsys.readouterr().err
+
+
+# --- one fault per config: exit code and the exact stderr line -------------
+
+DROP = object()
+RK45 = {"method": "rk45", "rtol": 1e-8, "atol": 1e-10, "t0": 0.0, "t1": 1.0}
+SO3 = {
+    "chart": {"base": ["t"], "fibre_dim": 3},
+    "atiyah": {
+        "algebra_dim": 3,
+        "c": {"1,2": [0, 0, 1], "1,3": [0, -1, 0], "2,3": [1, 0, 0]},
+        "k0": ["0", "0", "0"],
+        "k": [],
+    },
+}
+
+
+def edited(base, changes):
+    """A copy of a config (a path or a dict) with each dotted path in
+    changes set to its value, or deleted for DROP."""
+    cfg = json.loads(Path(base).read_text() if isinstance(base, str) else json.dumps(base))
+    for dotted, value in changes.items():
+        *parents, last = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
+VALIDATE = ("validate",)
+SIMULATE_L = ("simulate", "--mode", "lagrangian", "--out", "x.csv")
+NAN, INF = float("nan"), float("inf")
+
+# (id, config, command, the stderr line after "config error: "); each exits 2
+FAULTS = [
+    ("top_not_object", [1], VALIDATE, "config: expected a JSON object"),
+    ("top_unknown_key", edited(OSC, {"integrater": {}}), VALIDATE,
+     "config.integrater: unknown key (allowed: atiyah, chart, hamiltonian, initial, "
+     "integrator, lagrangian, newton, seed, structure)"),
+    ("chart_missing", edited(OSC, {"chart": DROP}), VALIDATE, "config: chart is required"),
+    ("chart_not_object", edited(OSC, {"chart": []}), VALIDATE, "chart: expected an object"),
+    ("chart_unknown_key", edited(OSC, {"chart.basis": ["t"]}), VALIDATE,
+     "chart.basis: unknown key (allowed: base, box, fibre_dim)"),
+    ("chart_base_empty", edited(OSC, {"chart.base": []}), VALIDATE,
+     "chart.base: expected a nonempty list of coordinate names"),
+    ("chart_base_not_names", edited(OSC, {"chart.base": ["t", 1]}), VALIDATE,
+     "chart.base: expected a nonempty list of coordinate names"),
+    ("fibre_dim_zero", edited(OSC, {"chart.fibre_dim": 0}), VALIDATE,
+     "chart.fibre_dim: expected a positive integer"),
+    ("fibre_dim_float", edited(OSC, {"chart.fibre_dim": 1.0}), VALIDATE,
+     "chart.fibre_dim: expected a positive integer"),
+    ("fibre_dim_bool", edited(OSC, {"chart.fibre_dim": True}), VALIDATE,
+     "chart.fibre_dim: expected a positive integer"),
+    ("fibre_dim_missing", edited(OSC, {"chart.fibre_dim": DROP}), VALIDATE,
+     "chart.fibre_dim: expected a positive integer"),
+    ("box_not_object", edited(OSC, {"chart.box": []}), VALIDATE,
+     "chart.box: expected an object keyed by coordinate name"),
+    ("box_unknown_coordinate", edited(OSC, {"chart.box.z": [0, 1]}), VALIDATE,
+     "chart.box.z: not a coordinate of this chart"),
+    ("box_short", edited(OSC, {"chart.box.q": [1]}), VALIDATE,
+     "chart.box.q: expected a list of 2 numbers"),
+    ("box_string_bound", edited(OSC, {"chart.box.q": [0, "1"]}), VALIDATE,
+     "chart.box.q[1]: expected a number"),
+    ("box_empty_interval", edited(OSC, {"chart.box.q": [2, 1]}), VALIDATE,
+     "chart.box.q: empty interval [2.0, 1.0]"),
+    ("chart_duplicate_names", edited(OSC, {"chart.base": ["q", "q"], "chart.box": DROP}),
+     VALIDATE, "chart: duplicate base coordinate names"),
+    ("chart_bad_name", edited(OSC, {"chart.base": ["t", "a b"], "chart.box": DROP}),
+     VALIDATE, "chart: bad coordinate name 'a b'"),
+    ("structure_and_atiyah", edited(OSC, {"atiyah": {"algebra_dim": 1, "k0": ["0"], "k": []}}),
+     VALIDATE, "config: exactly one of structure/atiyah is required"),
+    ("no_structure", edited(OSC, {"structure": DROP}), VALIDATE,
+     "config: exactly one of structure/atiyah is required"),
+    ("structure_not_object", edited(OSC, {"structure": []}), VALIDATE,
+     "structure: expected an object"),
+    ("structure_unknown_key", edited(OSC, {"structure.rh0": []}), VALIDATE,
+     "structure.rh0: unknown key (allowed: c, c0, rho, rho0)"),
+    ("structure_missing_rho", edited(OSC, {"structure.rho": DROP}), VALIDATE,
+     "structure: rho0 and rho are required"),
+    ("rho0_short", edited(OSC, {"structure.rho0": ["1"]}), VALIDATE,
+     "structure.rho0: expected a list of 2 expressions"),
+    ("rho0_null_entry", edited(OSC, {"structure.rho0": ["1", None]}), VALIDATE,
+     "structure.rho0[1]: expected an expression string or number"),
+    ("rho0_bool_entry", edited(OSC, {"structure.rho0": [True, "0"]}), VALIDATE,
+     "structure.rho0[0]: expected an expression string or number"),
+    ("rho_rows", edited(OSC, {"structure.rho": []}), VALIDATE,
+     "structure.rho: expected 1 rows"),
+    ("rho_row_short", edited(OSC, {"structure.rho": [["0"]]}), VALIDATE,
+     "structure.rho[0]: expected a list of 2 expressions"),
+    ("c0_rows", edited(OSC, {"structure.c0": []}), VALIDATE, "structure.c0: expected 1 rows"),
+    ("c0_entry", edited(OSC, {"structure.c0": [[{}]]}), VALIDATE,
+     "structure.c0[0][0]: expected an expression string or number"),
+    ("c_not_object", edited(OSC, {"structure.c": []}), VALIDATE,
+     "structure.c: expected an object"),
+    ("c_key_diagonal", edited(RIGID, {"structure.c.1,1": ["0", "0", "0"]}), VALIDATE,
+     'structure.c.1,1: keys must look like "a,b" with 1 <= a < b <= 3, got \'1,1\''),
+    ("c_key_three", edited(RIGID, {"structure.c.1,2,3": ["0", "0", "0"]}), VALIDATE,
+     'structure.c.1,2,3: keys must look like "a,b" with 1 <= a < b <= 3, got \'1,2,3\''),
+    ("c_key_word", edited(RIGID, {"structure.c.x": ["0", "0", "0"]}), VALIDATE,
+     'structure.c.x: keys must look like "a,b" with 1 <= a < b <= 3, got \'x\''),
+    ("c_row_short", edited(RIGID, {"structure.c.1,2": ["0"]}), VALIDATE,
+     "structure.c.1,2: expected a list of 3 expressions"),
+    ("structure_unknown_variable", edited(OSC, {"structure.rho0": ["1", "zz"]}), VALIDATE,
+     "structure: unknown variable zz (declared: t, q)"),
+    ("structure_syntax", edited(OSC, {"structure.rho0": ["1", "1 +"]}), VALIDATE,
+     "structure: unexpected 'end of input' at position 3"),
+    ("structure_reserved_name", edited(OSC, {"chart.base": ["t", "e"], "chart.box": {}}),
+     VALIDATE, "structure: 'e' is reserved and cannot be a variable"),
+    ("atiyah_not_object", edited(MAGNETIC, {"atiyah": []}), VALIDATE,
+     "atiyah: expected an object"),
+    ("atiyah_unknown_key", edited(MAGNETIC, {"atiyah.kk": []}), VALIDATE,
+     "atiyah.kk: unknown key (allowed: algebra_dim, c, k, k0)"),
+    ("algebra_dim_zero", edited(MAGNETIC, {"atiyah.algebra_dim": 0}), VALIDATE,
+     "atiyah.algebra_dim: expected a positive integer"),
+    ("algebra_dim_mismatch", edited(MAGNETIC, {"atiyah.algebra_dim": 2}), VALIDATE,
+     "chart.fibre_dim: atiyah charts need spatial + algebra = 3, got 2"),
+    ("atiyah_c_not_object", edited(MAGNETIC, {"atiyah.c": []}), VALIDATE,
+     "atiyah.c: expected an object"),
+    ("atiyah_c_key", edited(MAGNETIC, {"atiyah.c": {"1,2": [0]}}), VALIDATE,
+     'atiyah.c.1,2: keys must look like "a,b" with 1 <= a < b <= 1, got \'1,2\''),
+    ("atiyah_c_row_short", edited(SO3, {"atiyah.c.1,2": [0, 0]}), VALIDATE,
+     "atiyah.c.1,2: expected a list of 3 numbers"),
+    ("atiyah_c_string", edited(SO3, {"atiyah.c.1,2": [0, 0, "1"]}), VALIDATE,
+     "atiyah.c.1,2[2]: expected a number"),
+    ("atiyah_missing_k", edited(MAGNETIC, {"atiyah.k": DROP}), VALIDATE,
+     "atiyah: k0 and k are required"),
+    ("atiyah_k0_short", edited(MAGNETIC, {"atiyah.k0": []}), VALIDATE,
+     "atiyah.k0: expected a list of 1 expressions"),
+    ("atiyah_k_rows", edited(MAGNETIC, {"atiyah.k": []}), VALIDATE,
+     "atiyah.k: expected 1 rows"),
+    ("atiyah_k_row", edited(MAGNETIC, {"atiyah.k": [["0", "0"]]}), VALIDATE,
+     "atiyah.k[0]: expected a list of 1 expressions"),
+    ("atiyah_unknown_variable", edited(MAGNETIC, {"atiyah.k0": ["zz"]}), VALIDATE,
+     "atiyah: unknown variable zz (declared: t, x1)"),
+    ("lagrangian_not_string", edited(OSC, {"lagrangian": 3}), VALIDATE,
+     "lagrangian: expected an expression string"),
+    ("hamiltonian_not_string", edited(OSC, {"hamiltonian": []}), VALIDATE,
+     "hamiltonian: expected an expression string"),
+    ("lagrangian_syntax", edited(OSC, {"lagrangian": "y1^"}), VALIDATE,
+     "lagrangian: unexpected 'end of input' at position 3"),
+    ("lagrangian_unknown_variable", edited(OSC, {"lagrangian": "p1"}), VALIDATE,
+     "lagrangian: unknown variable p1 (declared: t, q, y1)"),
+    ("hamiltonian_unknown_function", edited(OSC, {"hamiltonian": "sinh(p1)"}), VALIDATE,
+     "hamiltonian: unknown function 'sinh' at position 0"),
+    ("initial_not_object", edited(OSC, {"initial": []}), VALIDATE,
+     "initial: expected an object"),
+    ("initial_unknown_key", edited(OSC, {"initial.z": [0]}), VALIDATE,
+     "initial.z: unknown key (allowed: p, x, y)"),
+    ("initial_x_short", edited(OSC, {"initial.x": [0]}), VALIDATE,
+     "initial.x: expected a list of 2 numbers"),
+    ("initial_y_string", edited(OSC, {"initial.y": ["0"]}), VALIDATE,
+     "initial.y[0]: expected a number"),
+    ("initial_p_null", edited(OSC, {"initial.p": None}), VALIDATE,
+     "initial.p: expected a list of 1 numbers"),
+    ("integrator_not_object", edited(OSC, {"integrator": []}), VALIDATE,
+     "integrator: expected an object"),
+    ("integrator_null", edited(OSC, {"integrator": None}), VALIDATE,
+     "integrator: expected an object"),
+    ("method_unknown", edited(OSC, {"integrator.method": "euler"}), VALIDATE,
+     "integrator.method: expected rk4 or rk45, got 'euler'"),
+    ("method_list", edited(OSC, {"integrator.method": [1]}), VALIDATE,
+     "integrator.method: expected rk4 or rk45, got [1]"),
+    ("rk4_with_rtol", edited(OSC, {"integrator.rtol": 1e-8}), VALIDATE,
+     "integrator.rtol: unknown key (allowed: dt, method, t0, t1)"),
+    ("rk45_with_dt", edited(OSC, {"integrator": dict(RK45, dt=0.1)}), VALIDATE,
+     "integrator.dt: unknown key (allowed: atol, method, rtol, t0, t1)"),
+    ("dt_string", edited(OSC, {"integrator.dt": "x"}), VALIDATE,
+     "integrator.dt: expected a number, got 'x'"),
+    ("dt_zero", edited(OSC, {"integrator.dt": 0}), VALIDATE, "integrator.dt: must be positive"),
+    ("t0_bool", edited(OSC, {"integrator.t0": True}), VALIDATE,
+     "integrator.t0: expected a number, got True"),
+    ("t1_not_after_t0", edited(OSC, {"integrator.t1": 0.0}), VALIDATE,
+     "integrator: t1 must exceed t0"),
+    ("rk45_rtol_zero", edited(OSC, {"integrator": dict(RK45, rtol=0)}), VALIDATE,
+     "integrator tolerances must be positive"),
+    ("rk45_atol_negative", edited(OSC, {"integrator": dict(RK45, atol=-1)}), VALIDATE,
+     "integrator tolerances must be positive"),
+    ("rk45_atol_string", edited(OSC, {"integrator": dict(RK45, atol="1")}), VALIDATE,
+     "integrator.atol: expected a number, got '1'"),
+    ("rk45_t1_not_after_t0", edited(OSC, {"integrator": dict(RK45, t0=2.0)}), VALIDATE,
+     "integrator: t1 must exceed t0"),
+    ("newton_not_object", edited(OSC, {"newton": []}), VALIDATE,
+     "newton: expected an object"),
+    ("newton_unknown_key", edited(OSC, {"newton.iters": 3}), VALIDATE,
+     "newton.iters: unknown key (allowed: max_iter, tol)"),
+    ("newton_tol_string", edited(OSC, {"newton.tol": "a"}), VALIDATE,
+     "newton.tol: expected a number, got 'a'"),
+    ("newton_tol_zero", edited(OSC, {"newton.tol": 0}), VALIDATE,
+     "newton.tol: must be positive"),
+    ("max_iter_zero", edited(OSC, {"newton.max_iter": 0}), VALIDATE,
+     "newton.max_iter: expected a positive integer"),
+    ("max_iter_float", edited(OSC, {"newton.max_iter": 1.5}), VALIDATE,
+     "newton.max_iter: expected a positive integer"),
+    ("seed_negative", edited(OSC, {"seed": -1}), VALIDATE,
+     "seed: expected a nonnegative integer"),
+    ("seed_string", edited(OSC, {"seed": "0"}), VALIDATE,
+     "seed: expected a nonnegative integer"),
+    ("seed_bool", edited(OSC, {"seed": False}), VALIDATE,
+     "seed: expected a nonnegative integer"),
+    # numbers must be finite: NaN, Infinity and integers beyond the float
+    # range are config errors too
+    ("box_infinite_bound", edited(OSC, {"chart.box.q": [-2, INF]}), VALIDATE,
+     "chart.box.q[1]: expected a number"),
+    ("box_infinite_bound_check", edited(OSC, {"chart.box.q": [-2, INF]}), ("check",),
+     "chart.box.q[1]: expected a number"),
+    ("rho0_nan", edited(OSC, {"structure.rho0": [1, NAN]}), VALIDATE,
+     "structure.rho0[1]: expected an expression string or number"),
+    ("rho0_huge_integer", edited(OSC, {"structure.rho0": [1, 10**400]}), VALIDATE,
+     "structure.rho0[1]: expected an expression string or number"),
+    ("atiyah_c_infinite", edited(SO3, {"atiyah.c.1,2": [0, 0, -INF]}), VALIDATE,
+     "atiyah.c.1,2[2]: expected a number"),
+    ("initial_x_nan", edited(OSC, {"initial.x": [0, NAN]}), SIMULATE_L,
+     "initial.x[1]: expected a number"),
+    ("dt_nan", edited(OSC, {"integrator.dt": NAN}), SIMULATE_L,
+     "integrator.dt: expected a number, got nan"),
+    ("t1_infinite", edited(OSC, {"integrator.t1": INF}), VALIDATE,
+     "integrator.t1: expected a number, got inf"),
+    ("newton_tol_nan", edited(OSC, {"newton.tol": NAN}), ("legendre",),
+     "newton.tol: expected a number, got nan"),
+    ("lagrangian_literal_overflow", edited(OSC, {"lagrangian": "1e400*y1^2"}), SIMULATE_L,
+     "lagrangian: number '1e400' out of range at position 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,command,line", [row[1:] for row in FAULTS], ids=[row[0] for row in FAULTS]
+)
+def test_config_fault_exit_and_message(tmp_path, monkeypatch, capsys, cfg, command, line):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, cfg)
+    assert main([command[0], path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: %s\n" % line
+    assert captured.out == ""
+
+
+def test_config_undecodable_text_exits_2(tmp_path, capsys):
+    # neither is a JSONDecodeError, so they carry no line and column
+    for name, text in (
+        ("long.json", b'{"seed": ' + b"1" * 5000 + b"}"),
+        ("latin.json", b'{"seed": "\xff"}'),
+    ):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: invalid JSON: " % path)

@@ -146,3 +146,20 @@ def test_slopes_are_the_field_at_the_states():
         for state, slope in zip(traj.states, traj.slopes):
             assert np.array_equal(slope, f(state))
     assert integrate_rk45(f, [1.0, 0.0], 0.0, 0.0).slopes.shape == (0, 2)
+
+
+def test_rk45_never_evaluates_a_state_twice():
+    # first same as last: an accepted step's seventh stage is the next step's
+    # first, and a rejected step keeps its first stage
+    seen = []
+
+    def f(s):
+        seen.append(s.tobytes())
+        return np.array([s[1], -np.sin(s[0]) * (1.0 + s[0] ** 2)])
+
+    traj = integrate_rk45(f, [2.5, 0.0], 0.0, 5.0, rtol=1e-10, atol=1e-12)
+    assert traj.meta["evals"] == len(seen) == len(set(seen))
+    # six calls per attempted step after the first stage: some were rejected
+    assert (len(seen) - 1) // 6 > len(traj) - 1
+    for state, slope in zip(traj.states, traj.slopes):
+        assert np.array_equal(slope, f(state))

@@ -3,7 +3,11 @@ import pytest
 
 from affgebroid.catalog import oscillator, rigid_body, twisted_line
 from affgebroid.errors import NewtonDivergence
-from affgebroid.hamiltonian import HamiltonianSystem, cosymplectic_check_h
+from affgebroid.hamiltonian import (
+    HamiltonianSystem,
+    cosymplectic_check_h,
+    hamilton_vector_field,
+)
 from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.legendre import (
     LegendrePair,
@@ -65,6 +69,32 @@ def test_induced_hamiltonian_matches_closed_form(maker):
         w1 = pair.ham.fibre_hessian(v.x, v.p)
         w2 = ent.ham.fibre_hessian(v.x, v.p)
         assert np.max(np.abs(w1 - w2)) < 1e-9
+
+
+def test_induced_field_call_makes_no_derivs_call(monkeypatch):
+    # L and dL/dx come from the value and gradient kernels, with the bits
+    # the full derivatives would give, and no fibre Hessian is built
+    ent = twisted_line()
+    pair = LegendrePair(ent.lag)
+    v = sample_v(ent, 1, seed=4)[0]
+    calls = []
+    derivs = LagrangianSystem.derivs
+    monkeypatch.setattr(
+        LagrangianSystem, "derivs", lambda self, x, y: calls.append(1) or derivs(self, x, y)
+    )
+    hamilton_vector_field(pair.ham)(np.concatenate([v.x, v.p]))
+    gx, _ = pair.ham.grad(v.x, v.p)
+    value = pair.ham.value(v.x, v.p)
+    h = h_from_L(ent.lag, v)
+    assert calls == []
+    monkeypatch.undo()
+    # warm started at its own solution, the match comes back unchanged
+    a = pair.ham._match(v.x, v.p)
+    lval, dldx = ent.lag.derivs(a.x, a.y)[:2]
+    assert np.array_equal(gx, -dldx)
+    assert value == float(v.p @ a.y) - lval
+    cold = leg_inverse(ent.lag, v)
+    assert h == float(v.p @ cold.y) - ent.lag.derivs(cold.x, cold.y)[0]
 
 
 def test_extended_map_reports_minus_energy():

@@ -13,6 +13,7 @@ from affgebroid.model import (
 )
 
 import tree_interpreter as ref
+from model_reference import c_value, full_arrays
 
 
 def so3_adapter():
@@ -66,10 +67,10 @@ def test_c_antisymmetry_bit_exact():
     m = so3_adapter()
     x = [0.3]
     for (a, b, g) in [(1, 2, 3), (2, 3, 1), (1, 3, 2)]:
-        v = m.c_value(a, b, g, x)
-        assert m.c_value(b, a, g, x) == -v
-        assert np.float64(m.c_value(b, a, g, x)) == np.float64(-v)
-    assert m.c_value(2, 2, 1, x) == 0.0
+        v = c_value(m, a, b, g, x)
+        assert c_value(m, b, a, g, x) == -v
+        assert np.float64(c_value(m, b, a, g, x)) == np.float64(-v)
+    assert c_value(m, 2, 2, 1, x) == 0.0
 
 
 def test_structure_tensor_layout():
@@ -81,7 +82,7 @@ def test_structure_tensor_layout():
         eps[b, a, g] = -v
     assert np.array_equal(s.c, eps)
     assert np.all(s.rho0 == 0.0) and np.all(s.rho == 0.0) and np.all(s.c0 == 0.0)
-    full = m.full_c_at([0.0])
+    _, full = full_arrays(m, [0.0])
     assert full.shape == (4, 4, 4)
     assert np.all(full[:, :, 0] == 0.0)
     assert np.array_equal(full[1:, 1:, 1:], eps)
@@ -145,7 +146,7 @@ def test_time_dependent_structure_enters_e0_rows():
     # rho_0 carries the clock; check the full-anchor layout
     chart = Chart(["t", "q"], 1)
     m = AffgebroidModel(chart, ["1", "0"], [["0", "1"]])
-    full = m.full_anchor_at([0.2, 0.4])
+    full, _ = full_arrays(m, [0.2, 0.4])
     assert np.array_equal(full, np.array([[1.0, 0.0], [0.0, 1.0]]))
     rep = validate_structure(m, samples=5, tol=1e-12)
     assert rep.max_residual == 0.0
@@ -174,7 +175,7 @@ def loop_residuals(model, x):
     """Per-point anchor and Jacobi residuals by explicit loops over I < J
     (< K), the reference for the batched validate_structure."""
     n = model.chart.fibre_dim
-    rho, cf = model.full_anchor_at(x), model.full_c_at(x)
+    rho, cf = full_arrays(model, x)
     rg, cg = model.structure_grad_at(x)
     pa = pj = 0.0
     for i in range(n + 1):
@@ -206,6 +207,16 @@ def test_batched_validate_matches_loop_reference():
         # ulps of Jacobi terms of order 100
         assert np.allclose(rep.per_point, ref, rtol=0.0, atol=1e-13)
         assert rep.passed
+
+
+def test_validate_reads_the_structure_once_per_point(monkeypatch):
+    chart = Chart(["x"], 2, base_box=[(0.5, 0.9)])
+    m = from_lie_algebroid(chart, [["1"], ["x"]], {(1, 2): ["1", "0"]})
+    calls = []
+    structure_at = m.structure_at
+    monkeypatch.setattr(m, "structure_at", lambda x: calls.append(1) or structure_at(x))
+    validate_structure(m, samples=100)
+    assert len(calls) == 100
 
 
 def test_non_finite_residual_fails():
