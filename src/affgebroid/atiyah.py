@@ -25,7 +25,6 @@ from .errors import JacobiViolation
 from .expressions import (
     Bin,
     Neg,
-    Num,
     ScalarField,
     _fold,
     _is_zero,
@@ -33,6 +32,7 @@ from .expressions import (
     bind_row,
     derive_field,
     parse,
+    tree_sum,
 )
 from .hamiltonian import HamiltonianSystem, hamilton_vector_field
 from .lagrangian import LagrangianSystem, momentum_equation_rhs
@@ -197,15 +197,6 @@ def curvature(spec, x):
     return CurvatureData(b0i, bij)
 
 
-def _sum_nodes(nodes):
-    if not nodes:
-        return Num(0.0)
-    out = nodes[0]
-    for node in nodes[1:]:
-        out = Bin("+", out, node)
-    return out
-
-
 def _bracket_node(cc, left, right, g):
     # sum over (a, b) of c_ab^g * left^a * right^b as a tree
     terms = []
@@ -214,7 +205,7 @@ def _bracket_node(cc, left, right, g):
             v = float(cc[a, b, g])
             if v != 0.0:
                 terms.append(Bin("*", _norm_const(v), Bin("*", left[a].ast, right[b].ast)))
-    return _sum_nodes(terms)
+    return tree_sum(terms)
 
 
 def _linear_node(cc, a, g, fields):
@@ -224,7 +215,7 @@ def _linear_node(cc, a, g, fields):
         v = float(cc[a, b, g])
         if v != 0.0:
             terms.append(Bin("*", _norm_const(v), fields[b].ast))
-    return _sum_nodes(terms)
+    return tree_sum(terms)
 
 
 def _curvature_fields(spec):

@@ -65,7 +65,7 @@ from .hamiltonian import (
     poisson_hamiltonian_field,
 )
 from .lagrangian import LagrangianSystem, el_vector_field
-from .legendre import LegendrePair, NewtonParams, flow_commutation_check, leg, leg_inverse
+from .legendre import LegendrePair, NewtonParams, flow_commutation_check, leg_inverse
 from .model import AffgebroidModel, APoint, Chart, VStarPoint, validate_structure
 from .tulczyjew import a_map, a_map_inverse, s_h_point, s_l_generator, s_l_residual, sigma
 
@@ -465,13 +465,13 @@ def cmd_legendre(args):
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     cells = np.stack([g.ravel() for g in mesh], axis=-1) if mesh else np.zeros((0, 0))
     for y in cells:
-        a = APoint(x0, y)
         status = "ok"
         err = float("nan")
         det = float("nan")
         try:
-            det = float(np.linalg.det(sys_obj.fibre_hessian(x0, y)))
-            v = leg(sys_obj, a)
+            _, p, w = sys_obj.legendre_data(x0, y)
+            det = float(np.linalg.det(w))
+            v = VStarPoint(x0, p)
             back = leg_inverse(sys_obj, v, params=bundle.newton)
             err = float(np.max(np.abs(back.y - y)))
             worst = max(worst, err)

@@ -24,6 +24,7 @@ independent check on them.
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,93 +100,36 @@ def _tokenize(source):
 
 # ---------------------------------------------------------------------------
 # syntax tree
+#
+# Nodes compare structurally; the generated __eq__ also checks the class.
+# A Num holds a float, since compile_trees calls .is_integer() on literals.
 
+@dataclass(slots=True)
 class Num:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def __eq__(self, other):
-        return type(other) is Num and other.value == self.value
-
-    def __hash__(self):
-        return hash(("num", self.value))
-
-    def __repr__(self):
-        return "Num(%r)" % self.value
+    value: float
 
 
+@dataclass(slots=True)
 class Var:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return type(other) is Var and other.name == self.name
-
-    def __hash__(self):
-        return hash(("var", self.name))
-
-    def __repr__(self):
-        return "Var(%r)" % self.name
+    name: str
 
 
+@dataclass(slots=True)
 class Neg:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def __eq__(self, other):
-        return type(other) is Neg and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("neg", self.arg))
-
-    def __repr__(self):
-        return "Neg(%r)" % (self.arg,)
+    arg: object
 
 
+@dataclass(slots=True)
 class Bin:
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (
-            type(other) is Bin
-            and other.op == self.op
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    def __hash__(self):
-        return hash(("bin", self.op, self.left, self.right))
-
-    def __repr__(self):
-        return "Bin(%r, %r, %r)" % (self.op, self.left, self.right)
+    op: str
+    left: object
+    right: object
 
 
+@dataclass(slots=True)
 class Call:
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn, arg):
-        self.fn = fn
-        self.arg = arg
-
-    def __eq__(self, other):
-        return type(other) is Call and other.fn == self.fn and other.arg == self.arg
-
-    def __hash__(self):
-        return hash(("call", self.fn, self.arg))
-
-    def __repr__(self):
-        return "Call(%r, %r)" % (self.fn, self.arg)
+    fn: str
+    arg: object
 
 
 class _Parser:
@@ -352,18 +296,10 @@ def _float_fn(name, v):
 
 
 def _float_pow(a, b):
-    if float(b).is_integer():
-        k = int(b)
-        if k < 0 and a == 0.0:
-            raise DomainError("0 raised to a negative power")
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            raise DomainError("pow overflow: %r^%r" % (a, b)) from None
-    if a < 0.0:
-        raise DomainError("%r^%r undefined for negative base" % (a, b))
     if a == 0.0 and b < 0.0:
         raise DomainError("0 raised to a negative power")
+    if a < 0.0 and not b.is_integer():
+        raise DomainError("%r^%r undefined for negative base" % (a, b))
     try:
         return math.pow(a, b)
     except OverflowError:

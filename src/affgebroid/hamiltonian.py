@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ScalarField, Var, compile_trees, float_args, parse, tree_negate
-from .expressions import tree_product, tree_sum
+from .expressions import ScalarField, Var, compile_trees, float_args, parse
 from .lagrangian import _unit, _wedge, bordered_volume_det
+from .model import motion_trees
 
 
 class HamiltonianSystem:
@@ -65,30 +65,6 @@ class HamiltonianSystem:
             outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p)
             self._kernel = compile_trees(outputs, h.variables, steps)
         return self._kernel(*float_args(state, self.hamiltonian.variables))
-
-
-def motion_trees(s, dhdx, dhdp, p):
-    """The trees of xdot = rho0 + rho dH/dp, pdot = - rho dH/dx + C_0 p +
-    C_ba^g (dH/dp_b) p_g and dH/dp, one flat list, over the structure trees
-    s and the trees of dH/dx, dH/dp and the momenta."""
-    m, n = len(dhdx), len(dhdp)
-    xdot = [
-        tree_sum([s.rho0[i], tree_sum(tree_product(dhdp[a], s.rho[a][i]) for a in range(n))])
-        for i in range(m)
-    ]
-    pdot = [
-        tree_sum([
-            tree_negate(tree_sum(tree_product(s.rho[a][i], dhdx[i]) for i in range(m))),
-            tree_sum(tree_product(s.c0[a][g], p[g]) for g in range(n)),
-            tree_sum(
-                tree_product(tree_product(s.c[b][a][g], dhdp[b]), p[g])
-                for b in range(n)
-                for g in range(n)
-            ),
-        ])
-        for a in range(n)
-    ]
-    return xdot + pdot + list(dhdp)
 
 
 @dataclass

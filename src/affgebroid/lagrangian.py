@@ -4,11 +4,17 @@ Prolongation vectors and covectors use the fixed basis order
 (reference direction, n fibre directions, n vertical directions); index 0 is
 the reference slot, 1..n the fibre block, n+1..2n the vertical block.
 
-The dynamics section and the vector field come from one compiled kernel per
-system, which returns the base velocity, the right side r of W xi = r and
-the fibre Hessian W; a generated LU solve then gives xi.  The regularity
-rule is the LU's: W is regular when its 1-norm condition number
-||W||_1 ||W^-1||_1 is below 1e12.
+A system evaluates L through two compiled kernels over (x, y), see
+LagrangianSystem.kernel.  The "el" kernel returns the base velocity, the
+right side r of W xi = r, the fibre Hessian W and the momentum-equation
+right side; it builds the momentum equation with model.motion_trees, the
+builder of the Hamilton motion.  The dynamics section and the vector field
+read it, and a generated LU solve then gives xi.  The "legendre" kernel
+returns L, dL/dy and W (read through legendre_data) for the Legendre map,
+the energy and the regularity test.  The regularity rule is the LU's: W is
+regular when its 1-norm condition number ||W||_1 ||W^-1||_1 is below 1e12.
+Only cartan_data, the independent route the cosymplectic check compares
+against, assembles the pieces in numpy from derivs.
 """
 
 import functools
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import SingularLagrangian
 from .expressions import ScalarField, Var, compile_trees, float_args, parse, tree_negate
 from .expressions import tree_product, tree_sum
+from .model import motion_trees
 
 
 class LagrangianSystem:
@@ -48,16 +55,11 @@ class LagrangianSystem:
         d = self.lagrangian.eval_dual2(point)
         return d.val, d.grad[:m], d.grad[m:], d.hess[:m, m:], d.hess[m:, m:]
 
-    def fibre_hessian(self, x, y):
-        m = self.model.chart.dim_base
-        point = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
-        names = self.lagrangian.variables[m:]
-        return self.lagrangian.eval_dual2(point, active=names).hess
-
     def kernel(self, kind):
-        """A fused kernel over (x, y), compiled on first use.  kind "el"
-        returns the base velocity vel, r = rhs - vel d2L/dxdy and W row-major
-        as one flat tuple; kind "legendre" returns dL/dy and W."""
+        """A fused kernel over (x, y), compiled on first use, returning one
+        flat tuple.  kind "el" returns the base velocity vel, r = rhs - vel
+        d2L/dxdy, W row-major and the momentum-equation right side rhs; kind
+        "legendre" returns L, dL/dy and W."""
         k = self._kernels.get(kind)
         if k is None:
             k = self._kernels[kind] = _compile(self, kind)
@@ -66,6 +68,13 @@ class LagrangianSystem:
     def evaluate(self, kind, x, y):
         """The kernel of that kind at (x, y)."""
         return self.kernel(kind)(*float_args(list(x) + list(y), self.lagrangian.variables))
+
+    def legendre_data(self, x, y):
+        """L, dL/dy and the fibre Hessian W at (x, y), from the "legendre"
+        kernel."""
+        n = self.model.chart.fibre_dim
+        out = self.evaluate("legendre", x, y)
+        return out[0], np.array(out[1 : 1 + n]), np.reshape(out[1 + n :], (n, n))
 
 
 def _compile(sys, kind):
@@ -82,37 +91,24 @@ def _compile(sys, kind):
     w = [[hess(m + a, m + b) for b in range(n)] for a in range(n)]
     upper = [w[a][b] for a in range(n) for b in range(a, n)]
     w_flat = [t for row in w for t in row]
+    dldy = [d.ast for d in grad[m:]]
     if kind == "legendre":
-        dldy = [d.ast for d in grad[m:]]
         steps = [(lag.ast, True)] + [(t, False) for t in dldy + upper]
-        return compile_trees(dldy + w_flat, lag.variables, steps)
+        return compile_trees([lag.ast] + dldy + w_flat, lag.variables, steps)
     d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
     partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
     steps = sys.model.structure_steps() + [(lag.ast, True)] + [(t, False) for t in partials]
-    s = sys.model.structure_trees()
+    # the momentum equation is the Hamilton pdot at dH/dx = -dL/dx, dH/dp = y
+    # and p = dL/dy
     y = [Var(name) for name in lag.variables[m:]]
-    dldx, dldy = [d.ast for d in grad[:m]], [d.ast for d in grad[m:]]
-    vel = [
-        tree_sum([s.rho0[i], tree_sum(tree_product(y[a], s.rho[a][i]) for a in range(n))])
-        for i in range(m)
-    ]
-    coupling = [
-        [tree_sum([s.c0[a][g], tree_sum(tree_product(y[b], s.c[b][a][g]) for b in range(n))])
-         for g in range(n)]
-        for a in range(n)
-    ]
-    rhs = [
-        tree_sum([
-            tree_sum(tree_product(s.rho[a][i], dldx[i]) for i in range(m)),
-            tree_sum(tree_product(coupling[a][g], dldy[g]) for g in range(n)),
-        ])
-        for a in range(n)
-    ]
+    dhdx = [tree_negate(d.ast) for d in grad[:m]]
+    motion = motion_trees(sys.model.structure_trees(), dhdx, y, dldy)
+    vel, rhs = motion[:m], motion[m : m + n]
     r = [
         tree_sum([rhs[a], tree_negate(tree_sum(tree_product(vel[i], d2xy[i][a]) for i in range(m)))])
         for a in range(n)
     ]
-    return compile_trees(vel + r + w_flat, lag.variables, steps)
+    return compile_trees(vel + r + w_flat + rhs, lag.variables, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +248,8 @@ def _wedge(a, b):
 def momentum_equation_rhs(sys, x, y):
     """Right side of the momentum form of the dynamics:
     d/dt (dL/dy^a) = rho_a^i dL/dx^i + (C_0a^g + C_ba^g y^b) dL/dy^g."""
-    return _dynamics_pieces(sys, x, y)[-1]
-
-
-def _dynamics_pieces(sys, x, y):
-    s = sys.model.structure_at(x)
-    lval, dldx, dldy, d2xy, w = sys.derivs(x, y)
-    y = np.asarray(y, dtype=float)
-    vel = s.rho0 + y @ s.rho
-    coupling = s.c0 + np.einsum("b,bag->ag", y, s.c)
-    rhs = s.rho @ dldx + coupling @ dldy
-    return s, lval, dldx, dldy, d2xy, w, vel, rhs
+    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
+    return np.array(sys.evaluate("el", x, y)[m + n + n * n :])
 
 
 def cartan_data(sys, point, xi0=None):
@@ -275,7 +262,11 @@ def cartan_data(sys, point, xi0=None):
     """
     x, y = point.x, point.y
     n = sys.model.chart.fibre_dim
-    s, lval, dldx, dldy, d2xy, w, vel, rhs = _dynamics_pieces(sys, x, y)
+    s = sys.model.structure_at(x)
+    lval, dldx, dldy, d2xy, w = sys.derivs(x, y)
+    vel = s.rho0 + y @ s.rho
+    coupling = s.c0 + np.einsum("b,bag->ag", y, s.c)
+    rhs = s.rho @ dldx + coupling @ dldy
     if xi0 is None:
         xi0 = np.zeros(n)
     xi0 = np.asarray(xi0, dtype=float)
@@ -308,7 +299,7 @@ def cartan_data(sys, point, xi0=None):
 def is_regular(sys, point):
     """Regularity of L at a point: nonsingular fibre Hessian under the rule
     of regularity.  Returns (flag, condition number)."""
-    return regularity(sys.fibre_hessian(point.x, point.y))
+    return regularity(sys.legendre_data(point.x, point.y)[2])
 
 
 def el_section(sys, point):
@@ -316,7 +307,8 @@ def el_section(sys, point):
     prolongation basis.  Requires a regular Lagrangian."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
     out = sys.evaluate("el", point.x, point.y)
-    return np.concatenate([[1.0], point.y, _fibre_solve(out[m + n :], out[m : m + n])])
+    xi = _fibre_solve(out[m + n : m + n + n * n], out[m : m + n])
+    return np.concatenate([[1.0], point.y, xi])
 
 
 def el_vector_field(sys):
@@ -325,10 +317,11 @@ def el_vector_field(sys):
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
     names = sys.lagrangian.variables
     kernel = sys.kernel("el")
+    w_end = m + n + n * n
 
     def field(state):
         out = kernel(*float_args(state, names))
-        return np.array(out[:m] + _fibre_solve(out[m + n :], out[m : m + n]))
+        return np.array(out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n]))
 
     return field
 
@@ -336,7 +329,7 @@ def el_vector_field(sys):
 def energy(sys, point):
     """y^a dL/dy^a - L, the energy-like function conserved when nothing in
     the model depends on the reference base coordinate."""
-    lval, _, dldy, _, _ = sys.derivs(point.x, point.y)
+    lval, dldy, _ = sys.legendre_data(point.x, point.y)
     return float(point.y @ dldy) - lval
 
 

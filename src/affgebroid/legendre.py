@@ -14,9 +14,9 @@ import numpy as np
 from .errors import NewtonDivergence, SingularLagrangian
 from .expressions import Var, compile_trees, float_args
 from .flow import integrate_rk4
-from .hamiltonian import HamiltonianSystem, hamilton_vector_field, motion_trees
+from .hamiltonian import HamiltonianSystem, hamilton_vector_field
 from .lagrangian import _fibre_solve, el_vector_field, solve_fibre_hessian
-from .model import APoint, VStarPoint
+from .model import APoint, VStarPoint, motion_trees
 
 
 @dataclass
@@ -57,14 +57,13 @@ def _newton(fun_jac, z0, params):
 
 def leg(sys, a):
     """Fibre derivative of L: (x, y) -> (x, dL/dy)."""
-    n = sys.model.chart.fibre_dim
-    return VStarPoint(a.x, sys.evaluate("legendre", a.x, a.y)[:n])
+    return VStarPoint(a.x, sys.legendre_data(a.x, a.y)[1])
 
 
 def leg_extended(sys, a):
     """Extended Legendre map into the full dual: (x, y0, p) with
     y0 = L - y dL/dy, p = dL/dy."""
-    lval, _, dldy, _, _ = sys.derivs(a.x, a.y)
+    lval, dldy, _ = sys.legendre_data(a.x, a.y)
     return (a.x.copy(), lval - float(a.y @ dldy), dldy)
 
 
@@ -80,7 +79,8 @@ def leg_inverse(sys, v, guess=None, params=None):
 
     def fun_jac(y):
         out = sys.evaluate("legendre", x, y)
-        return np.array(out[:n]) - p, lambda r: np.array(_fibre_solve(out[n:], r.tolist()))
+        w = out[1 + n :]
+        return np.array(out[1 : 1 + n]) - p, lambda r: np.array(_fibre_solve(w, r.tolist()))
 
     y0 = np.zeros(n) if guess is None else np.array(guess, dtype=float)
     return APoint(x, _newton(fun_jac, y0, params))
@@ -128,8 +128,7 @@ class InducedHamiltonian(HamiltonianSystem):
 
     def fibre_hessian(self, x, p):
         a = self._match(x, p)
-        w = self.lag.derivs(a.x, a.y)[4]
-        return np.linalg.inv(w)
+        return np.linalg.inv(self.lag.legendre_data(a.x, a.y)[2])
 
     def motion(self, state):
         """As HamiltonianSystem.motion, from the same trees with the

@@ -21,6 +21,9 @@ from .expressions import (
     derive_field,
     float_args,
     literal_value,
+    tree_negate,
+    tree_product,
+    tree_sum,
 )
 
 
@@ -324,6 +327,33 @@ class AffgebroidModel:
                     lower.append(np.ravel_multi_index((slot[1], slot[0], slot[2], i), cg_shape))
         positions = (np.array(at, dtype=int) for at in (anchor_at, upper, lower))
         return (compile_trees(anchor + bracket, names, steps), *positions)
+
+
+def motion_trees(s, dhdx, dhdp, p):
+    """The trees of xdot = rho0 + rho dH/dp, pdot = - rho dH/dx + C_0 p +
+    C_ba^g (dH/dp_b) p_g and dH/dp, one flat list, over the structure trees
+    s and the trees of dH/dx, dH/dp and the momenta.  Both dynamics are
+    built from it: the Hamilton motion as it reads, and the Euler-Lagrange
+    momentum equation with dH/dx = -dL/dx, dH/dp = y and p = dL/dy, where
+    pdot is rho_a^i dL/dx^i + (C_0a^g + C_ba^g y^b) dL/dy^g."""
+    m, n = len(dhdx), len(dhdp)
+    xdot = [
+        tree_sum([s.rho0[i], tree_sum(tree_product(dhdp[a], s.rho[a][i]) for a in range(n))])
+        for i in range(m)
+    ]
+    pdot = [
+        tree_sum([
+            tree_negate(tree_sum(tree_product(s.rho[a][i], dhdx[i]) for i in range(m))),
+            tree_sum(tree_product(s.c0[a][g], p[g]) for g in range(n)),
+            tree_sum(
+                tree_product(tree_product(s.c[b][a][g], dhdp[b]), p[g])
+                for b in range(n)
+                for g in range(n)
+            ),
+        ])
+        for a in range(n)
+    ]
+    return xdot + pdot + list(dhdp)
 
 
 def from_lie_algebroid(chart, rho, c):

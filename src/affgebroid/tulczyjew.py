@@ -73,9 +73,10 @@ def dl_point(sys, a):
     """Differential of L as a covector on the prolongation at (x, y): the
     fibre-direction components pick up the anchor, the vertical ones are
     plain fibre derivatives."""
-    _, dldx, dldy, _, _ = sys.derivs(a.x, a.y)
+    m = sys.model.chart.dim_base
+    _, grad = sys.lagrangian.value_grad(np.concatenate([a.x, a.y]))
     s = sys.model.structure_at(a.x)
-    return LvStarPoint(a.x, a.y, s.rho @ dldx, dldy)
+    return LvStarPoint(a.x, a.y, s.rho @ grad[:m], grad[m:])
 
 
 def s_l_generator(sys, a):
@@ -109,8 +110,7 @@ def s_l_residual(sys, p, params=None):
     velocity slot.
     """
     params = params or NewtonParams()
-    _, _, dldy, _, _ = sys.derivs(p.x, p.z)
-    res_p = p.p - dldy
+    res_p = p.p - sys.legendre_data(p.x, p.z)[1]
     matched = leg_inverse(sys, VStarPoint(p.x, p.p), guess=p.z, params=params)
     res_z = p.z - matched.y
     res_v = p.w - momentum_equation_rhs(sys, p.x, p.z)

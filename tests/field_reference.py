@@ -1,5 +1,6 @@
-"""The numpy assembly of the Euler-Lagrange and Hamilton fields that the
-fused kernels replaced, kept as the reference they are tested against.
+"""The numpy assembly of the Euler-Lagrange and Hamilton fields, and of the
+momentum-equation right side, that the fused kernels replaced, kept as the
+reference they are tested against.
 
 Each field is put together from structure_at, the energy function's
 derivatives and small matrix products, and the fibre solve is
@@ -44,7 +45,11 @@ def _pieces(sys, x, y):
     vel = s.rho0 + y @ s.rho
     coupling = s.c0 + np.einsum("b,bag->ag", y, s.c)
     rhs = s.rho @ dldx + coupling @ dldy
-    return vel, rhs - vel @ d2xy, w
+    return vel, rhs, rhs - vel @ d2xy, w
+
+
+def momentum_equation_rhs(sys, x, y):
+    return _pieces(sys, x, y)[1]
 
 
 def solve(w, rhs):
@@ -58,12 +63,12 @@ def el_field(sys):
     m = sys.model.chart.dim_base
 
     def field(state):
-        vel, r, w = _pieces(sys, state[:m], state[m:])
+        vel, _, r, w = _pieces(sys, state[:m], state[m:])
         return np.concatenate([vel, solve(w, r)])
 
     return field
 
 
 def el_section(sys, point):
-    _, r, w = _pieces(sys, point.x, point.y)
+    _, _, r, w = _pieces(sys, point.x, point.y)
     return np.concatenate([[1.0], point.y, solve(w, r)])

@@ -22,6 +22,7 @@ from affgebroid.expressions import (
     to_source,
     _parse_source,
     compile_trees,
+    _float_pow,
 )
 
 import tree_interpreter as ref
@@ -381,3 +382,24 @@ def test_whole_number_powers_match_interpreter():
             assert ref.outcome(compiled, point) == ref.outcome(reference, f, point), source
     with pytest.raises(DomainError, match=r"pow overflow: 1e\+200\^2.0"):
         parse("x^2", ["x"]).eval([1e200])
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (0.0, -2.0, "0 raised to a negative power"),
+        (0.0, -0.5, "0 raised to a negative power"),
+        (-2.0, 0.5, "-2.0^0.5 undefined for negative base"),
+        (-2.0, 3.0, -8.0),
+        (1e200, 2.0, "pow overflow: 1e+200^2.0"),
+        (2.0, 0.5, math.sqrt(2.0)),
+        (0.0, 0.0, 1.0),
+    ],
+)
+def test_float_pow_results_and_domain_messages(a, b, want):
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as err:
+            _float_pow(a, b)
+        assert str(err.value) == want
+    else:
+        assert _float_pow(a, b) == want
