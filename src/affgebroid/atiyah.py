@@ -23,15 +23,14 @@ import numpy as np
 
 from .errors import JacobiViolation
 from .expressions import (
-    Bin,
-    Neg,
     ScalarField,
-    _fold,
-    _is_zero,
-    _norm_const,
     bind_row,
-    derive_field,
+    literal_value,
     parse,
+    rebuild,
+    tree_negate,
+    tree_num,
+    tree_op,
     tree_sum,
 )
 from .hamiltonian import HamiltonianSystem, hamilton_vector_field
@@ -162,7 +161,7 @@ def curvature(spec, x):
 
     The gradients come from the same _diff as the trees reduce() emits; the
     assembly (which derivative pairs with which, the bracket term, signs) is
-    written independently of _curvature_fields, and the checks below rely on
+    written independently of _curvature_trees, and the checks below rely on
     that split.
     """
     x = np.asarray(x, float)
@@ -199,63 +198,48 @@ def curvature(spec, x):
 
 def _bracket_node(cc, left, right, g):
     # sum over (a, b) of c_ab^g * left^a * right^b as a tree
-    terms = []
-    for a in range(len(left)):
-        for b in range(len(right)):
-            v = float(cc[a, b, g])
-            if v != 0.0:
-                terms.append(Bin("*", _norm_const(v), Bin("*", left[a].ast, right[b].ast)))
-    return tree_sum(terms)
+    return tree_sum(
+        tree_op("*", tree_num(float(cc[a, b, g])), tree_op("*", left[a], right[b]))
+        for a in range(len(left))
+        for b in range(len(right))
+        if cc[a, b, g] != 0.0
+    )
 
 
-def _linear_node(cc, a, g, fields):
-    # sum over b of c_ab^g * fields^b
-    terms = []
-    for b in range(len(fields)):
-        v = float(cc[a, b, g])
-        if v != 0.0:
-            terms.append(Bin("*", _norm_const(v), fields[b].ast))
-    return tree_sum(terms)
+def _linear_node(cc, a, g, trees):
+    # sum over b of c_ab^g * trees^b
+    return tree_sum(
+        tree_op("*", tree_num(float(cc[a, b, g])), t) for b, t in enumerate(trees) if cc[a, b, g] != 0.0
+    )
 
 
-def _curvature_fields(spec):
-    """Symbolic counterpart of curvature(): folded fields over the base."""
-    names = spec.base_names
-    t = names[0]
+def _curvature_trees(spec, k0, k):
+    """Symbolic counterpart of curvature(): the trees of b0i and bij over the
+    base, from the connection coefficients rebuilt as k0 and k."""
     m, r = spec.spatial_dim, spec.algebra_dim
-    cc = spec.c
-    b0i = []
-    for i in range(m):
-        row = []
-        for g in range(r):
-            node = Bin(
-                "-",
-                Bin(
-                    "-",
-                    derive_field(spec.k[i][g], t).ast,
-                    derive_field(spec.k0[g], names[1 + i]).ast,
-                ),
-                _bracket_node(cc, spec.k0, spec.k[i], g),
-            )
-            row.append(ScalarField(_fold(node), names))
-        b0i.append(row)
-    bij = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            row = []
-            for g in range(r):
-                node = Bin(
-                    "-",
-                    Bin(
-                        "-",
-                        derive_field(spec.k[j][g], names[1 + i]).ast,
-                        derive_field(spec.k[i][g], names[1 + j]).ast,
-                    ),
-                    _bracket_node(cc, spec.k[i], spec.k[j], g),
-                )
-                row.append(ScalarField(_fold(node), names))
-            bij[(i, j)] = row
+
+    def entry(d1, d2, left, right, g):
+        # d1 - d2 - bracket(left, right)^g, from two partials
+        return tree_op("-", tree_op("-", d1.ast, d2.ast), _bracket_node(spec.c, left, right, g))
+
+    b0i = [
+        [entry(spec.k[i][g]._partial(0), spec.k0[g]._partial(1 + i), k0, k[i], g) for g in range(r)]
+        for i in range(m)
+    ]
+    bij = {
+        (i, j): [
+            entry(spec.k[j][g]._partial(1 + i), spec.k[i][g]._partial(1 + j), k[i], k[j], g)
+            for g in range(r)
+        ]
+        for i in range(m)
+        for j in range(i + 1, m)
+    }
     return b0i, bij
+
+
+def _bracket_row(m, trees, names):
+    # spatial targets empty, algebra targets the trees, a literal 0 as "0"
+    return ["0"] * m + ["0" if literal_value(t) == 0.0 else ScalarField(t, names) for t in trees]
 
 
 def reduce(spec):
@@ -268,9 +252,11 @@ def reduce(spec):
     connection twisted by the algebra bracket, and the constants themselves.
     """
     m, r = spec.spatial_dim, spec.algebra_dim
-    n = m + r
     names = spec.base_names
-    b0i, bij = _curvature_fields(spec)
+    cc = spec.c
+    k0 = [rebuild(f.ast) for f in spec.k0]
+    k = [[rebuild(f.ast) for f in row] for row in spec.k]
+    b0i, bij = _curvature_trees(spec, k0, k)
 
     rho0 = ["1"] + ["0"] * m
     rho = []
@@ -281,52 +267,22 @@ def reduce(spec):
     for _ in range(r):
         rho.append(["0"] * (m + 1))
 
-    c0 = []
-    for j in range(m):
-        row = ["0"] * n
-        for g in range(r):
-            node = _fold(Neg(b0i[j][g].ast))
-            if not _is_zero(node):
-                row[m + g] = ScalarField(node, names)
-        c0.append(row)
-    for a in range(r):
-        row = ["0"] * n
-        for g in range(r):
-            node = _fold(_linear_node(spec.c, a, g, spec.k0))
-            if not _is_zero(node):
-                row[m + g] = ScalarField(node, names)
-        c0.append(row)
+    c0 = [_bracket_row(m, [tree_negate(t) for t in b0i[j]], names) for j in range(m)]
+    c0 += [_bracket_row(m, [_linear_node(cc, a, g, k0) for g in range(r)], names) for a in range(r)]
 
-    cdict = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            row = ["0"] * n
-            keep = False
-            for g in range(r):
-                node = _fold(Neg(bij[(i, j)][g].ast))
-                if not _is_zero(node):
-                    row[m + g] = ScalarField(node, names)
-                    keep = True
-            if keep:
-                cdict[(i + 1, j + 1)] = row
+    rows = {}
+    for (i, j), trees in bij.items():
+        rows[(i + 1, j + 1)] = _bracket_row(m, [tree_negate(t) for t in trees], names)
     for i in range(m):
         for a in range(r):
-            row = ["0"] * n
-            keep = False
-            for g in range(r):
-                node = _fold(_linear_node(spec.c, a, g, spec.k[i]))
-                if not _is_zero(node):
-                    row[m + g] = ScalarField(node, names)
-                    keep = True
-            if keep:
-                cdict[(i + 1, m + a + 1)] = row
+            rows[(i + 1, m + a + 1)] = _bracket_row(
+                m, [_linear_node(cc, a, g, k[i]) for g in range(r)], names
+            )
+    cdict = {key: row for key, row in rows.items() if any(isinstance(e, ScalarField) for e in row)}
     for a in range(r):
         for b in range(a + 1, r):
-            if np.any(spec.c[a, b] != 0.0):
-                row = [0.0] * n
-                for g in range(r):
-                    row[m + g] = float(spec.c[a, b, g])
-                cdict[(m + a + 1, m + b + 1)] = row
+            if np.any(cc[a, b] != 0.0):
+                cdict[(m + a + 1, m + b + 1)] = [0.0] * m + [float(v) for v in cc[a, b]]
 
     return AffgebroidModel(spec.chart, rho0, rho, c0=c0, c=cdict)
 

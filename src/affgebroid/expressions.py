@@ -16,13 +16,19 @@ into one generated Python function of straight-line code with shared
 subexpressions, keeping the float helpers' domain errors.  A field compiles
 its value kernel, and one derivative kernel per set of active variables, on
 first use and keeps them.  Derivatives are exact and symbolic: derive_field
-differentiates the tree and folds constants, each field caches its partials
-(and their partials for the Hessian), and the value and derivative trees go
-into one kernel.  The tests keep central finite differences as the
-independent check on them.
+differentiates the tree, each field caches its partials (and their partials
+for the Hessian), and the value and derivative trees go into one kernel.
+The tests keep central finite differences as the independent check on them.
+
+Every tree the package builds, rather than parses, goes through one set of
+folding constructors: tree_num, tree_op, tree_negate, tree_call and
+tree_sum.  The derivatives, the dynamics kernels and the reduced bracket
+functions are all built with them, and parsed input is never simplified for
+evaluation.
 """
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -288,13 +294,6 @@ _FLOAT_FNS = {
 }
 
 
-def _float_fn(name, v):
-    fn = _FLOAT_FNS.get(name)
-    if fn is None:
-        raise UnknownFunctionError(name)
-    return fn(v)
-
-
 def _float_pow(a, b):
     if a == 0.0 and b < 0.0:
         raise DomainError("0 raised to a negative power")
@@ -437,6 +436,29 @@ def compile_trees(outputs, variables, steps=()):
     return namespace.pop("kernel")
 
 
+# ---------------------------------------------------------------------------
+# building trees
+#
+# The one rule table.  Each constructor folds as it builds, on operands built
+# through it: an operation on literals becomes its value when that is finite
+# and computing it raises no DomainError and does not divide by zero; an
+# operand 0 of + and -, 1 or -1 of *, and 1 of / and ^ drops out; a factor
+# or numerator 0 gives 0 and an exponent 0 gives 1; a double negation
+# cancels; a + -b becomes a - b; a negative value, -0 too, is the negation
+# of a literal, so built trees print and reparse.  Apart from the sign of a
+# zero, and from a 0 absorbing a factor that is not finite or raises, no
+# rule changes the value of the tree it replaces, and a folded literal is
+# computed by the float helpers a kernel calls.
+
+_BIN_FNS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": _float_pow,
+}
+
+
 def literal_value(tree):
     """The value of a literal tree, a number or a negated number; None for
     any other tree."""
@@ -447,45 +469,96 @@ def literal_value(tree):
     return None
 
 
-def tree_product(a, b):
-    """a*b as a tree for assembling kernels: None (no term) when a factor is
-    None or the literal 0, and literal factors 1 and -1 dropped, which is
-    exact."""
-    if a is None or b is None:
+def tree_num(v):
+    """The literal v; -0 too is the negation of a literal."""
+    return Neg(Num(-v)) if math.copysign(1.0, v) < 0.0 else Num(v)
+
+
+def _constant(fn, *args):
+    # the literal fn(*args), or None where that is no finite value
+    try:
+        v = fn(*args)
+    except (DomainError, ZeroDivisionError):
         return None
+    return tree_num(v) if math.isfinite(v) else None
+
+
+def tree_op(op, a, b):
+    """a op b, for op one of + - * / ^."""
     va, vb = literal_value(a), literal_value(b)
-    if va == 0.0 or vb == 0.0:
-        return None
-    if va == 1.0:
-        return b
-    if vb == 1.0:
+    if va is not None and vb is not None:
+        folded = _constant(_BIN_FNS[op], va, vb)
+        return Bin(op, a, b) if folded is None else folded
+    if op == "+":
+        if va == 0.0:
+            return b
+        if vb == 0.0:
+            return a
+        if type(b) is Neg:
+            return Bin("-", a, b.arg)
+    elif op == "-":
+        if vb == 0.0:
+            return a
+        if va == 0.0:
+            return tree_negate(b)
+    elif op == "*":
+        # at most one operand is a literal here
+        lit, other = (va, b) if va is not None else (vb, a)
+        if lit == 0.0:
+            return Num(0.0)
+        if lit == 1.0:
+            return other
+        if lit == -1.0:
+            return tree_negate(other)
+    elif op == "/":
+        if va == 0.0:
+            return Num(0.0)
+        if vb == 1.0:
+            return a
+    elif vb == 1.0:
         return a
-    if va == -1.0:
-        return tree_negate(b)
-    if vb == -1.0:
-        return tree_negate(a)
-    return Bin("*", a, b)
+    elif vb == 0.0:
+        return Num(1.0)
+    return Bin(op, a, b)
 
 
 def tree_negate(a):
-    return a.arg if type(a) is Neg else Neg(a)
+    """-a."""
+    if type(a) is Neg:
+        return a.arg
+    return tree_num(-a.value) if type(a) is Num else Neg(a)
+
+
+def tree_call(fn, a):
+    """fn(a), for fn a builtin function."""
+    v = literal_value(a)
+    folded = None if v is None or fn not in _FLOAT_FNS else _constant(_FLOAT_FNS[fn], v)
+    return Call(fn, a) if folded is None else folded
+
+
+def tree_product(a, b):
+    """a*b."""
+    return tree_op("*", a, b)
 
 
 def tree_sum(terms):
-    """Left-to-right sum of the trees in terms, skipping None and literal
-    zeros; a negated term is subtracted (a + -b is a - b exactly).  The
-    literal 0 when no term is left."""
-    out = None
+    """Left-to-right sum of the trees in terms; the literal 0 for none."""
+    out = Num(0.0)
     for t in terms:
-        if t is None or literal_value(t) == 0.0:
-            continue
-        if out is None:
-            out = t
-        elif type(t) is Neg:
-            out = Bin("-", out, t.arg)
-        else:
-            out = Bin("+", out, t)
-    return Num(0.0) if out is None else out
+        out = tree_op("+", out, t)
+    return out
+
+
+def rebuild(tree):
+    """tree built again through the constructors, folded bottom up."""
+    t = type(tree)
+    if t is Neg:
+        return tree_negate(rebuild(tree.arg))
+    if t is Bin:
+        return tree_op(tree.op, rebuild(tree.left), rebuild(tree.right))
+    if t is Call:
+        return tree_call(tree.fn, rebuild(tree.arg))
+    return tree
 
 
 _F64 = np.dtype(float)
@@ -649,158 +722,68 @@ def bind_row(row, k, variables, what):
 
 
 # ---------------------------------------------------------------------------
-# symbolic derivative with constant folding
+# symbolic derivative
 #
 # The one derivative engine: ScalarField caches the partials built here for
 # its gradients and Hessians, and the bundle-reduction builder emits them as
 # first-class fields (parsed-grade ASTs, derivatives and pretty printing).
-# Parsed user input is never simplified; folding applies only to trees built
-# here.
-
-def _fold(node):
-    t = type(node)
-    if t is Neg:
-        a = _fold(node.arg)
-        if type(a) is Num:
-            return _norm_const(-a.value)
-        if type(a) is Neg:
-            return a.arg
-        return Neg(a)
-    if t is Call:
-        a = _fold(node.arg)
-        if type(a) is Num:
-            try:
-                v = _float_fn(node.fn, a.value)
-            except DomainError:
-                return Call(node.fn, a)
-            if math.isfinite(v):
-                return _norm_const(v)
-        return Call(node.fn, a)
-    if t is not Bin:
-        return node
-    a = _fold(node.left)
-    b = _fold(node.right)
-    op = node.op
-    na, nb = type(a) is Num, type(b) is Num
-    if na and nb:
-        try:
-            if op == "^":
-                v = _float_pow(a.value, b.value)
-            elif op == "/":
-                if b.value == 0.0:
-                    return Bin(op, a, b)
-                v = a.value / b.value
-            elif op == "+":
-                v = a.value + b.value
-            elif op == "-":
-                v = a.value - b.value
-            else:
-                v = a.value * b.value
-        except DomainError:
-            return Bin(op, a, b)
-        if math.isfinite(v):
-            return _norm_const(v)
-        return Bin(op, a, b)
-    if op == "+":
-        if na and a.value == 0.0:
-            return b
-        if nb and b.value == 0.0:
-            return a
-    elif op == "-":
-        if nb and b.value == 0.0:
-            return a
-        if na and a.value == 0.0:
-            return Neg(b) if type(b) is not Neg else b.arg
-    elif op == "*":
-        if (na and a.value == 0.0) or (nb and b.value == 0.0):
-            return Num(0.0)
-        if na and a.value == 1.0:
-            return b
-        if nb and b.value == 1.0:
-            return a
-        if na and a.value == -1.0:
-            return Neg(b) if type(b) is not Neg else b.arg
-        if nb and b.value == -1.0:
-            return Neg(a) if type(a) is not Neg else a.arg
-    elif op == "/":
-        if na and a.value == 0.0 and not (nb and b.value == 0.0):
-            return Num(0.0)
-        if nb and b.value == 1.0:
-            return a
-    elif op == "^":
-        if nb and b.value == 1.0:
-            return a
-        if nb and b.value == 0.0:
-            return Num(1.0)
-    return Bin(op, a, b)
-
-
-def _is_zero(node):
-    return type(node) is Num and node.value == 0.0
-
-
-def _norm_const(v):
-    # negative literals print as unary minus so folded trees stay reparseable
-    if v < 0.0:
-        return Neg(Num(-v))
-    return Num(v)
-
+# derive_field rebuilds its input once, so the subtrees the derivative
+# repeats are folded too, and _diff builds every node through the
+# constructors.
 
 def _diff(node, name):
     t = type(node)
     if t is Num:
         return Num(0.0)
     if t is Var:
-        return Num(1.0) if node.name == name else Num(0.0)
+        return Num(1.0 if node.name == name else 0.0)
     if t is Neg:
-        return Neg(_diff(node.arg, name))
+        return tree_negate(_diff(node.arg, name))
     if t is Bin:
         a, b = node.left, node.right
         da, db = _diff(a, name), _diff(b, name)
         op = node.op
-        if op == "+":
-            return Bin("+", da, db)
-        if op == "-":
-            return Bin("-", da, db)
+        if op in "+-":
+            return tree_op(op, da, db)
         if op == "*":
-            return Bin("+", Bin("*", da, b), Bin("*", a, db))
+            return tree_op("+", tree_op("*", da, b), tree_op("*", a, db))
         if op == "/":
-            num = Bin("-", Bin("*", da, b), Bin("*", a, db))
-            return Bin("/", num, Bin("^", b, Num(2.0)))
+            num = tree_op("-", tree_op("*", da, b), tree_op("*", a, db))
+            return tree_op("/", num, tree_op("^", b, Num(2.0)))
         # power rule while the exponent does not vary with name, which keeps
         # integer powers of a non-positive base differentiable; otherwise
         # through a^b = exp(b log a)
-        if _is_zero(_fold(db)):
-            bm1 = Num(b.value - 1.0) if type(b) is Num else Bin("-", b, Num(1.0))
-            return Bin("*", Bin("*", b, Bin("^", a, bm1)), da)
-        term1 = Bin("*", db, Call("log", a))
-        term2 = Bin("/", Bin("*", b, da), a)
-        return Bin("*", node, Bin("+", term1, term2))
+        if literal_value(db) == 0.0:
+            power = tree_op("^", a, tree_op("-", b, Num(1.0)))
+            return tree_op("*", tree_op("*", b, power), da)
+        term1 = tree_op("*", db, tree_call("log", a))
+        term2 = tree_op("/", tree_op("*", b, da), a)
+        return tree_op("*", node, tree_op("+", term1, term2))
     if t is Call:
         inner = _diff(node.arg, name)
         a = node.arg
         fn = node.fn
         if fn == "sin":
-            outer = Call("cos", a)
+            outer = tree_call("cos", a)
         elif fn == "cos":
-            outer = Neg(Call("sin", a))
+            outer = tree_negate(tree_call("sin", a))
         elif fn == "tan":
-            outer = Bin("/", Num(1.0), Bin("^", Call("cos", a), Num(2.0)))
+            outer = tree_op("/", Num(1.0), tree_op("^", tree_call("cos", a), Num(2.0)))
         elif fn == "exp":
-            outer = Call("exp", a)
+            outer = tree_call("exp", a)
         elif fn == "log":
-            outer = Bin("/", Num(1.0), a)
+            outer = tree_op("/", Num(1.0), a)
         elif fn == "sqrt":
-            outer = Bin("/", Num(0.5), Call("sqrt", a))
+            outer = tree_op("/", Num(0.5), tree_call("sqrt", a))
         else:  # abs
-            outer = Bin("/", a, Call("abs", a))
-        return Bin("*", outer, inner)
+            outer = tree_op("/", a, tree_call("abs", a))
+        return tree_op("*", outer, inner)
     raise TypeError("not a syntax node: %r" % (node,))
 
 
 def derive_field(field, name):
-    """d(field)/d(name) as a new ScalarField over the same variables, with
-    constant folding applied to the derivative tree."""
+    """d(field)/d(name) as a new ScalarField over the same variables, built
+    through the folding constructors."""
     if name not in field.variables:
         raise ValueError("%r is not a variable of %r" % (name, field))
-    return ScalarField(_fold(_diff(field.ast, name)), field.variables)
+    return ScalarField(_diff(rebuild(field.ast), name), field.variables)

@@ -127,8 +127,11 @@ class InducedHamiltonian(HamiltonianSystem):
         return -dldx, a.y.copy()
 
     def fibre_hessian(self, x, p):
+        """W^-1 at the matched velocity, solved column by column under the
+        regularity rule of the fibre solves."""
         a = self._match(x, p)
-        return np.linalg.inv(self.lag.legendre_data(a.x, a.y)[2])
+        w = self.lag.legendre_data(a.x, a.y)[2]
+        return np.array([_fibre_solve(w.ravel().tolist(), e) for e in np.eye(len(w)).tolist()]).T
 
     def motion(self, state):
         """As HamiltonianSystem.motion, from the same trees with the

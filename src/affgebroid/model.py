@@ -18,7 +18,6 @@ from .expressions import (
     Var,
     bind_row,
     compile_trees,
-    derive_field,
     float_args,
     literal_value,
     tree_negate,
@@ -315,7 +314,7 @@ class AffgebroidModel:
         for f, slot in self._slots():
             if f.is_constant():
                 continue
-            partials = [derive_field(f, name).ast for name in names]
+            partials = [f._partial(i).ast for i in range(len(names))]
             steps += [(f.ast, True)] + [(d, False) for d in partials]
             for i, d in enumerate(partials):
                 if len(slot) == 2:

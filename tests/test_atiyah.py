@@ -3,6 +3,7 @@ validate, and the dual assembly of the reduced equations of motion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affgebroid.atiyah import (
     AtiyahSpec,
@@ -21,7 +22,7 @@ from affgebroid.atiyah import (
     so3_spec,
 )
 from affgebroid.errors import JacobiViolation
-from affgebroid.expressions import parse
+from affgebroid.expressions import parse, rebuild
 from affgebroid.model import validate_structure
 
 from model_reference import c_value
@@ -98,6 +99,14 @@ def test_reduced_bracket_sources_fold_clean():
     model = reduce(magnetic_spec())
     assert model.c0[0][1].source == "-x1"
     assert model.c0[0][0].source == "0"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["so3", "heisenberg", "sl2", "abelian"]))
+def test_reduced_structure_trees_are_fixed_points_of_the_builder(seed, algebra):
+    model = reduce(random_spec(np.random.default_rng(seed), m=2, algebra=algebra))
+    for f, _ in model._slots():
+        assert rebuild(f.ast) == f.ast, f.source
 
 
 def test_constant_connection_reference_block():

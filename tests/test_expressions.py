@@ -19,6 +19,7 @@ from affgebroid.expressions import (
     Var,
     derive_field,
     parse,
+    rebuild,
     to_source,
     _parse_source,
     compile_trees,
@@ -272,11 +273,22 @@ def test_derive_field_folds_simple_polys():
     assert derive_field(f, "x1").source == "t"
     g = parse("3", ["t"])
     assert derive_field(g, "t").source == "0"
+    assert derive_field(parse("-x*y", ["x", "y"]), "x").source == "-y"
 
 
 def test_parsed_tree_not_simplified():
     f = parse("x + 0", ["x"])
     assert f.source == "x+0"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees(4), st.sampled_from(["x", "y", "z"]))
+def test_derivative_trees_are_fixed_points_of_the_builder(tree, name):
+    # derive_field builds every node through the folding constructors, so
+    # building its output again changes nothing
+    first = derive_field(ScalarField(tree, ["x", "y", "z", "q", "p1"]), name)
+    for d in (first.ast, derive_field(first, "x").ast):
+        assert rebuild(d) == d, to_source(tree)
 
 
 # --- compiled kernels against the tree interpreter -------------------------

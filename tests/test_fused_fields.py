@@ -21,7 +21,7 @@ from affgebroid.lagrangian import (
     regularity,
     solve_fibre_hessian,
 )
-from affgebroid.legendre import InducedHamiltonian, l_from_h
+from affgebroid.legendre import InducedHamiltonian, fh_det, l_from_h
 from affgebroid.model import AffgebroidModel, APoint, Chart, VStarPoint
 
 EPS = np.finfo(float).eps
@@ -212,3 +212,21 @@ def test_singular_fibre_hessian_raises_from_the_field():
         el_section(bad, APoint([0.0], [0.1, 0.2, 0.3]))
     assert hamilton_vector_field(ent.ham)(np.array([0.0, 0.5, -0.3, 0.8])).shape == (4,)
     assert reeb_section(ent.ham, VStarPoint([0.0], [0.5, -0.3, 0.8]))[0] == 1.0
+
+
+def test_induced_fibre_hessian_follows_the_regularity_rule():
+    # W^-1 of the induced Hamiltonian is refused as every fibre solve is:
+    # W = 3 y^2 is exactly singular at y = 0, and diag(1, 1e-13) is above
+    # the condition limit
+    line = AffgebroidModel(Chart(["t"], 1), ["1"], [["0"]])
+    quartic = InducedHamiltonian(LagrangianSystem(line, "0.25*y1^4"))
+    with pytest.raises(SingularLagrangian, match="fibre Hessian singular"):
+        quartic.fibre_hessian([0.0], [0.0])
+    with pytest.raises(SingularLagrangian, match="fibre Hessian singular"):
+        fh_det(quartic, VStarPoint([0.0], [0.0]))
+    plane = AffgebroidModel(Chart(["t"], 2), ["1"], [["0"], ["0"]])
+    stiff = InducedHamiltonian(LagrangianSystem(plane, "0.5*y1^2 + 0.5e-13*y2^2"))
+    with pytest.raises(SingularLagrangian, match="condition number 1.000e\\+13"):
+        stiff.fibre_hessian([0.0], [0.0, 0.0])
+    regular = InducedHamiltonian(LagrangianSystem(plane, "0.5*y1^2 + y2^2"))
+    assert np.array_equal(regular.fibre_hessian([0.0], [0.0, 0.0]), np.diag([1.0, 0.5]))

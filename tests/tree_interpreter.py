@@ -17,12 +17,12 @@ import numpy as np
 from affgebroid.errors import DomainError
 from affgebroid.expressions import (
     _CONSTANTS,
+    _FLOAT_FNS,
     Bin,
     Derivatives,
     Neg,
     Num,
     Var,
-    _float_fn,
     _float_pow,
     to_source,
 )
@@ -53,7 +53,7 @@ def _eval(node, env):
             return a / b
         return _float_pow(a, b)
     # t is Call
-    return _float_fn(node.fn, _eval(node.arg, env))
+    return _FLOAT_FNS[node.fn](_eval(node.arg, env))
 
 
 def compile_trees(outputs, variables, steps=()):
