@@ -19,6 +19,8 @@ from affgebroid.atiyah import (
     reduce,
     so3_spec,
 )
+from affgebroid.hamiltonian import HamiltonianSystem
+from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.model import validate_structure
 
 for spec in (magnetic_spec(), so3_spec()):
@@ -32,14 +34,9 @@ for spec in (magnetic_spec(), so3_spec()):
 
     # the textbook display of the reduced equations against the raw engine
     rng = np.random.default_rng(2)
-    l_src = " + ".join("0.5*%s^2" % nm for nm in model.chart.fibre_names)
-    h_src = " + ".join("0.5*%s^2" % nm for nm in model.chart.dual_names)
-    lp = max(
-        lp_equations_check(spec, l_src, spec.chart.sample_a(rng)).max_abs for _ in range(50)
-    )
-    hp = max(
-        hp_equations_check(spec, h_src, spec.chart.sample_vstar(rng)).max_abs
-        for _ in range(50)
-    )
+    lag = LagrangianSystem(model, " + ".join("0.5*%s^2" % nm for nm in model.chart.fibre_names))
+    ham = HamiltonianSystem(model, " + ".join("0.5*%s^2" % nm for nm in model.chart.dual_names))
+    lp = max(lp_equations_check(spec, lag, spec.chart.sample_a(rng)).max_abs for _ in range(50))
+    hp = max(hp_equations_check(spec, ham, spec.chart.sample_vstar(rng)).max_abs for _ in range(50))
     print("  assembly gap, Lagrangian side %.3e, Hamiltonian side %.3e" % (lp, hp))
     print()

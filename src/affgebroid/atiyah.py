@@ -7,12 +7,13 @@ that data into an ordinary model whose fibre stacks the spatial block
 before the algebra block and whose structure functions are emitted as
 expression trees, so validation and expansion treat them exactly like
 hand-written ones.  The *_equations_check functions then pit the generic
-engines run on that model against the reduced equations of motion
-assembled directly from curvature and bracket values.  Both routes take the
-derivatives of the connection coefficients from the one symbolic engine
-(_diff, guarded against finite differences by its own property test); apart
-from that they share only the input fields, so agreement certifies the
-reduction table: curvature assembly, bracket twist, fibre packing and signs.
+engines, run by a system on that model, against the reduced equations of
+motion assembled directly from curvature and bracket values.  Both routes
+take the derivatives of the connection coefficients from the one symbolic
+engine (_diff, guarded against finite differences by its own property
+test); apart from that they share only the input fields, so agreement
+certifies the reduction table: curvature assembly, bracket twist, fibre
+packing and signs.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ from .expressions import (
     ScalarField,
     bind_row,
     literal_value,
-    parse,
     rebuild,
     tree_negate,
     tree_num,
     tree_op,
     tree_sum,
 )
-from .hamiltonian import HamiltonianSystem, hamilton_vector_field
-from .lagrangian import LagrangianSystem, momentum_equation_rhs
+from .hamiltonian import hamilton_vector_field
+from .lagrangian import momentum_equation_rhs
 from .model import AffgebroidModel, Chart
 
 
@@ -308,27 +308,26 @@ class EquationCheck:
         return bool(self.max_abs < self.tol)
 
 
-def lp_equations_check(spec, l, point, tol=1e-10):
-    """Momentum-equation RHS on reduce(spec) against the reduced display.
+def lp_equations_check(spec, sys, point, tol=1e-10):
+    """Momentum-equation RHS of sys, a LagrangianSystem on the reduction of
+    spec, against the reduced display.
 
     The generic route reads the model's structure functions; the display is
-    assembled from curvature values, connection values and the raw constants.
-    Spatial components: dl/dx^i minus the algebra momenta contracted with
-    B_0i + B_ji xdot^j + bracket(K_i, vbar).  Algebra components: the momenta
-    transported by bracket(., K_0 + K_j xdot^j - vbar).
+    assembled from curvature and connection values, the raw constants and
+    the derivatives of sys.lagrangian.  Spatial components: dl/dx^i minus the
+    algebra momenta contracted with B_0i + B_ji xdot^j + bracket(K_i, vbar).
+    Algebra components: the momenta transported by
+    bracket(., K_0 + K_j xdot^j - vbar).
     """
-    model = reduce(spec)
-    names = model.chart.base_names + model.chart.fibre_names
-    if isinstance(l, str):
-        l = parse(l, names)
-    sys = LagrangianSystem(model, l)
+    if sys.model.chart is not spec.chart:
+        raise ValueError("sys is not built on the reduction of spec: its chart is not spec.chart")
     x = np.asarray(point.x, float)
     y = np.asarray(point.y, float)
     generic = momentum_equation_rhs(sys, x, y)
 
     m, r = spec.spatial_dim, spec.algebra_dim
     cc = spec.c
-    _, grad = l.value_grad(np.concatenate([x, y]))
+    _, grad = sys.lagrangian.value_grad(np.concatenate([x, y]))
     dldx = grad[1 : m + 1]
     dldy = grad[m + 1 :]
     pbar = dldy[m:]
@@ -352,25 +351,24 @@ def lp_equations_check(spec, l, point, tol=1e-10):
     return EquationCheck(generic, printed, tol)
 
 
-def hp_equations_check(spec, h, point, tol=1e-10):
-    """Hamilton field on reduce(spec) against the reduced display.
+def hp_equations_check(spec, sys, point, tol=1e-10):
+    """Hamilton field of sys, a HamiltonianSystem on the reduction of spec,
+    against the reduced display, which reads the derivatives of
+    sys.hamiltonian.
 
     Base clock runs at unit rate, spatial positions follow dH/dp.  Spatial
     momenta feel -dH/dx minus the algebra momenta contracted with curvature
     and connection terms; algebra momenta are transported by the bracket.
     """
-    model = reduce(spec)
-    names = model.chart.base_names + model.chart.dual_names
-    if isinstance(h, str):
-        h = parse(h, names)
-    sys = HamiltonianSystem(model, h)
+    if sys.model.chart is not spec.chart:
+        raise ValueError("sys is not built on the reduction of spec: its chart is not spec.chart")
     x = np.asarray(point.x, float)
     p = np.asarray(point.p, float)
     generic = hamilton_vector_field(sys)(np.concatenate([x, p]))
 
     m, r = spec.spatial_dim, spec.algebra_dim
     cc = spec.c
-    _, grad = h.value_grad(np.concatenate([x, p]))
+    _, grad = sys.hamiltonian.value_grad(np.concatenate([x, p]))
     dhdx = grad[1 : m + 1]
     dhdp = grad[m + 1 :]
     dp_sp, dp_alg = dhdp[:m], dhdp[m:]

@@ -91,6 +91,12 @@ def _num(v, path):
     return float(v)
 
 
+def _positive(v, path):
+    if _num(v, path) <= 0.0:
+        raise ConfigError("%s: must be positive" % path)
+    return float(v)
+
+
 def _int(v, path, least):
     if type(v) is not int or v < least:
         raise ConfigError(
@@ -267,9 +273,7 @@ def _integrator(raw):
 
 def _newton(raw):
     _section(raw, "newton", ("tol", "max_iter"))
-    tol = _num(raw.get("tol", 1e-12), "newton.tol")
-    if tol <= 0.0:
-        raise ConfigError("newton.tol: must be positive")
+    tol = _positive(raw.get("tol", 1e-12), "newton.tol")
     return NewtonParams(tol=tol, max_iter=_int(raw.get("max_iter", 50), "newton.max_iter", 1))
 
 
@@ -302,8 +306,6 @@ def load_config(path):
         chart=chart,
         model=model,
         spec=spec,
-        lagrangian=raw.get("lagrangian"),
-        hamiltonian=raw.get("hamiltonian"),
         # parse errors in the energy functions surface here, with their key
         lag_sys=_energy(raw, "lagrangian", LagrangianSystem, model),
         ham_sys=_energy(raw, "hamiltonian", HamiltonianSystem, model),
@@ -334,6 +336,7 @@ def _pure_algebra(model):
 def cmd_validate(args):
     if args.samples < 1:
         raise ConfigError("--samples: expected a positive integer, got %d" % args.samples)
+    _positive(args.tol, "--tol")
     bundle = load_config(args.config)
     report = validate_structure(
         bundle.model, tol=args.tol, samples=args.samples, seed=bundle.seed
@@ -433,7 +436,7 @@ def _parse_grid(text, chart):
                 lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
             except ValueError:
                 raise ConfigError("grid: bad numbers in %r" % part)
-            if count < 1 or hi < lo:
+            if count < 1 or not lo <= hi:
                 raise ConfigError("grid: need lo <= hi and count >= 1 in %r" % part)
             axes[name] = (lo, hi, count)
     values = []
@@ -448,6 +451,7 @@ def _parse_grid(text, chart):
 
 
 def cmd_legendre(args):
+    _positive(args.tol, "--tol")
     bundle = load_config(args.config)
     if bundle.lag_sys is None:
         raise ConfigError("lagrangian: required for legendre")
@@ -561,14 +565,23 @@ def _validated(bundle, rng):
     return validate_structure(bundle.model, samples=30, seed=bundle.seed, tol=1e-9).max_residual
 
 
-def _lp_residual(bundle, rng):
-    src = bundle.lagrangian or _default_energy(bundle.chart, "L")
-    return lp_equations_check(bundle.spec, src, bundle.spec.chart.sample_a(rng)).max_abs
+def _lp_assembly(bundle, rng):
+    # one system for every point: the config's, or the default energy on its model
+    lag = bundle.lag_sys or LagrangianSystem(bundle.model, _default_energy(bundle.chart, "L"))
+
+    def at(bundle, rng):
+        return lp_equations_check(bundle.spec, lag, bundle.spec.chart.sample_a(rng)).max_abs
+
+    return _sampled(25, at)(bundle, rng)
 
 
-def _hp_residual(bundle, rng):
-    src = bundle.hamiltonian or _default_energy(bundle.chart, "H")
-    return hp_equations_check(bundle.spec, src, bundle.spec.chart.sample_vstar(rng)).max_abs
+def _hp_assembly(bundle, rng):
+    ham = bundle.ham_sys or HamiltonianSystem(bundle.model, _default_energy(bundle.chart, "H"))
+
+    def at(bundle, rng):
+        return hp_equations_check(bundle.spec, ham, bundle.spec.chart.sample_vstar(rng)).max_abs
+
+    return _sampled(25, at)(bundle, rng)
 
 
 def _no_lagrangian(bundle):
@@ -609,8 +622,8 @@ CHECKS = (
     _Check("hamilton_route_equality", "poisson", 1e-10, _no_hamiltonian,
            _sampled(100, _route_gaps)),
     _Check("atiyah_validate", "atiyah", 1e-9, _no_atiyah, _validated),
-    _Check("lp_assembly", "atiyah", 1e-10, _no_atiyah, _sampled(25, _lp_residual)),
-    _Check("hp_assembly", "atiyah", 1e-10, _no_atiyah, _sampled(25, _hp_residual)),
+    _Check("lp_assembly", "atiyah", 1e-10, _no_atiyah, _lp_assembly),
+    _Check("hp_assembly", "atiyah", 1e-10, _no_atiyah, _hp_assembly),
     _Check("structure_validate", "all", 1e-9, _is_atiyah, _validated),
 )
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ScalarField, Var, compile_trees, float_args, parse
+from .expressions import Var, compile_trees, float_args, parse
 from .lagrangian import _unit, _wedge, bordered_volume_det
 from .model import motion_trees
 
@@ -23,17 +23,9 @@ class HamiltonianSystem:
 
     def __init__(self, model, hamiltonian):
         self.model = model
-        names = model.chart.base_names + model.chart.dual_names
-        if isinstance(hamiltonian, str):
-            hamiltonian = parse(hamiltonian, names)
-        if not isinstance(hamiltonian, ScalarField):
-            raise TypeError("hamiltonian must be a ScalarField or source string")
-        if hamiltonian.variables != names:
-            raise ValueError(
-                "hamiltonian bound to %r, chart wants %r"
-                % (hamiltonian.variables, names)
-            )
-        self.hamiltonian = hamiltonian
+        if not isinstance(hamiltonian, str):
+            raise TypeError("hamiltonian must be a source string")
+        self.hamiltonian = parse(hamiltonian, model.chart.base_names + model.chart.dual_names)
         self._kernel = None
 
     def _point(self, x, p):

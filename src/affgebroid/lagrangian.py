@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLagrangian
-from .expressions import ScalarField, Var, compile_trees, float_args, parse, tree_negate
+from .expressions import Var, compile_trees, float_args, parse, tree_negate
 from .expressions import tree_product, tree_sum
 from .model import motion_trees
 
@@ -34,16 +34,9 @@ class LagrangianSystem:
 
     def __init__(self, model, lagrangian):
         self.model = model
-        names = model.chart.base_names + model.chart.fibre_names
-        if isinstance(lagrangian, str):
-            lagrangian = parse(lagrangian, names)
-        if not isinstance(lagrangian, ScalarField):
-            raise TypeError("lagrangian must be a ScalarField or source string")
-        if lagrangian.variables != names:
-            raise ValueError(
-                "lagrangian bound to %r, chart wants %r" % (lagrangian.variables, names)
-            )
-        self.lagrangian = lagrangian
+        if not isinstance(lagrangian, str):
+            raise TypeError("lagrangian must be a source string")
+        self.lagrangian = parse(lagrangian, model.chart.base_names + model.chart.fibre_names)
         # compiled on first use: "el" and "legendre", see kernel
         self._kernels = {}
 

@@ -193,11 +193,9 @@ def test_criterion_08_reduced_equations_dual_assembly():
     ]
     worst = 0.0
     for spec, entry in cases:
-        l_field = entry.lag.lagrangian
-        h_field = entry.ham.hamiltonian
         for _ in range(100):
-            lp = lp_equations_check(spec, l_field, spec.chart.sample_a(rng))
-            hp = hp_equations_check(spec, h_field, spec.chart.sample_vstar(rng))
+            lp = lp_equations_check(entry.spec, entry.lag, spec.chart.sample_a(rng))
+            hp = hp_equations_check(entry.spec, entry.ham, spec.chart.sample_vstar(rng))
             worst = max(worst, lp.max_abs, hp.max_abs)
     assert line(8, "printed reduced equations match the generic engine", worst, 1e-10)
 

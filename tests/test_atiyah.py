@@ -23,6 +23,8 @@ from affgebroid.atiyah import (
 )
 from affgebroid.errors import JacobiViolation
 from affgebroid.expressions import parse, rebuild
+from affgebroid.hamiltonian import HamiltonianSystem
+from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.model import validate_structure
 
 from model_reference import c_value
@@ -154,11 +156,12 @@ SPECS = {"flat": flat_spec, "magnetic": magnetic_spec, "so3": so3_spec}
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_lp_dual_assembly(name):
     spec = SPECS[name]()
+    sys = LagrangianSystem(reduce(spec), LAGRANGIANS[name])
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(30):
         point = spec.chart.sample_a(rng)
-        check = lp_equations_check(spec, LAGRANGIANS[name], point, tol=1e-12)
+        check = lp_equations_check(spec, sys, point, tol=1e-12)
         assert check.passed
         worst = max(worst, check.max_abs)
     assert worst < 1e-12
@@ -167,10 +170,11 @@ def test_lp_dual_assembly(name):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_hp_dual_assembly(name):
     spec = SPECS[name]()
+    sys = HamiltonianSystem(reduce(spec), HAMILTONIANS[name])
     rng = np.random.default_rng(18)
     for _ in range(30):
         point = spec.chart.sample_vstar(rng)
-        check = hp_equations_check(spec, HAMILTONIANS[name], point, tol=1e-12)
+        check = hp_equations_check(spec, sys, point, tol=1e-12)
         assert check.passed
 
 
@@ -188,18 +192,29 @@ def test_dual_assembly_not_vacuous():
     )
     rng = np.random.default_rng(21)
     point = spec.chart.sample_a(rng)
-    full = lp_equations_check(spec, LAGRANGIANS["so3"], point)
-    gutted = lp_equations_check(bare, LAGRANGIANS["so3"], point)
+    full = lp_equations_check(spec, LagrangianSystem(reduce(spec), LAGRANGIANS["so3"]), point)
+    gutted = lp_equations_check(bare, LagrangianSystem(reduce(bare), LAGRANGIANS["so3"]), point)
     assert np.abs(full.generic - gutted.generic).max() > 1e-3
 
 
 def test_hp_check_includes_unit_clock():
-    check = hp_equations_check(
-        magnetic_spec(),
-        HAMILTONIANS["magnetic"],
-        magnetic_spec().chart.sample_vstar(np.random.default_rng(2)),
-    )
+    spec = magnetic_spec()
+    sys = HamiltonianSystem(reduce(spec), HAMILTONIANS["magnetic"])
+    check = hp_equations_check(spec, sys, spec.chart.sample_vstar(np.random.default_rng(2)))
     assert check.generic[0] == 1.0 and check.printed[0] == 1.0
+
+
+def test_equation_checks_refuse_a_system_of_another_chart():
+    # an equal reduction built again is not spec's: its chart is a new object
+    spec = magnetic_spec()
+    other = reduce(magnetic_spec())
+    rng = np.random.default_rng(3)
+    lag = LagrangianSystem(other, LAGRANGIANS["magnetic"])
+    ham = HamiltonianSystem(other, HAMILTONIANS["magnetic"])
+    with pytest.raises(ValueError, match="spec.chart"):
+        lp_equations_check(spec, lag, spec.chart.sample_a(rng))
+    with pytest.raises(ValueError, match="spec.chart"):
+        hp_equations_check(spec, ham, spec.chart.sample_vstar(rng))
 
 
 def test_jacobi_violation_rejected():

@@ -304,6 +304,26 @@ def test_legendre_grid_outside_box_exits_2(capsys):
     assert "box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["y1=nan:1:3", "y1=0:nan:3"])
+def test_legendre_nan_grid_bound_exits_2(grid, capsys):
+    # every comparison with NaN is false, so the range test must be one that
+    # NaN fails
+    assert main(["legendre", OSC, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: grid: need lo <= hi and count >= 1 in %r\n" % grid
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "legendre"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(command, tol, capsys):
+    assert main([command, RIGID, "--tol=" + tol]) == 2
+    captured = capsys.readouterr()
+    why = "must be positive" if tol in ("0", "-1") else "expected a number, got " + tol
+    assert captured.err == "config error: --tol: %s\n" % why
+    assert captured.out == ""
+
+
 def test_legendre_unknown_grid_axis_exits_2(capsys):
     assert main(["legendre", OSC, "--grid", "z9=0:1:2"]) == 2
     assert "z9" in capsys.readouterr().err
@@ -325,6 +345,41 @@ def test_check_atiyah_suite_lines(capsys):
     out = capsys.readouterr().out
     for name in ("atiyah_validate", "lp_assembly", "hp_assembly"):
         assert name in out
+
+
+def test_check_atiyah_defaults_to_kinetic_energy(tmp_path, capsys):
+    # with no energy function the assembly rows run on 1/2 |y|^2 and 1/2 |p|^2
+    path = str(FIXTURES / "atiyah_default_energy.json")
+    assert main(["check", path, "--suite", "atiyah"]) == 0
+    out = capsys.readouterr().out
+    rows = {ln.split()[0]: ln for ln in out.splitlines()}
+    for name in ("lp_assembly", "hp_assembly"):
+        assert rows[name].startswith(name + " ") and rows[name].endswith("PASS")
+    assert out.strip().endswith("PASS")
+    cfg = json.loads(Path(path).read_text())
+    cfg["lagrangian"] = " + ".join("0.5*y%d^2" % a for a in range(1, 5))
+    cfg["hamiltonian"] = " + ".join("0.5*p%d^2" % a for a in range(1, 5))
+    assert main(["check", write_config(tmp_path, cfg), "--suite", "atiyah"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_check_reduces_an_atiyah_config_once(monkeypatch, capsys):
+    # the assembly rows run on the systems load_config built, not on fresh
+    # reductions per sampled point; both names of reduce are counted
+    import affgebroid.atiyah as atiyah
+    import affgebroid.cli as cli
+
+    calls = []
+
+    def counted(spec, _reduce=atiyah.reduce):
+        calls.append(spec)
+        return _reduce(spec)
+
+    monkeypatch.setattr(cli, "reduce_spec", counted)
+    monkeypatch.setattr(atiyah, "reduce", counted)
+    assert main(["check", MAGNETIC, "--suite", "all"]) == 0
+    assert "lp_assembly" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_check_skips_without_lagrangian(tmp_path, capsys):

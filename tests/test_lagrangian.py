@@ -6,6 +6,7 @@ import pytest
 from affgebroid.catalog import all_entries, oscillator, rigid_body, twisted_line
 from affgebroid.errors import SingularLagrangian
 from affgebroid.flow import integrate_rk4, time_derivative
+from affgebroid.hamiltonian import HamiltonianSystem
 from affgebroid.lagrangian import (
     LagrangianSystem,
     cartan_data,
@@ -165,3 +166,11 @@ def test_energy_conserved_when_clock_invariant():
         energy(ent.lag, APoint(s[:2], s[2:])) for s in traj.states[:: len(traj) // 20]
     ]
     assert max(vals) - min(vals) < 1e-10
+
+
+def test_energy_functions_enter_as_source_strings():
+    ent = rigid_body()
+    with pytest.raises(TypeError, match="source string"):
+        LagrangianSystem(ent.model, ent.lag.lagrangian)
+    with pytest.raises(TypeError, match="source string"):
+        HamiltonianSystem(ent.model, ent.ham.hamiltonian)
