@@ -11,7 +11,7 @@ construction from the induced Hamiltonian lands on the same set.
 import numpy as np
 
 from affgebroid.catalog import twisted_line
-from affgebroid.legendre import LegendrePair
+from affgebroid.legendre import InducedHamiltonian
 from affgebroid.model import VStarPoint
 from affgebroid.tulczyjew import (
     a_map,
@@ -42,13 +42,13 @@ print("dual map round trip gap: %.3e" % max(
     np.max(np.abs(back.p - q.p)), np.max(np.abs(back.z - q.z)), np.max(np.abs(back.w - q.w))
 ))
 
-pair = LegendrePair(entry.lag)
+ham = InducedHamiltonian(entry.lag)
 worst_member = 0.0
 worst_cross = 0.0
 for _ in range(200):
-    p = s_l_generator(pair.lag, model.chart.sample_a(rng))
-    worst_member = max(worst_member, s_l_residual(pair.lag, p, params=pair.params).max_abs)
-    sh = s_h_point(pair.ham, VStarPoint(p.x, p.p))
+    p = s_l_generator(entry.lag, model.chart.sample_a(rng))
+    worst_member = max(worst_member, s_l_residual(entry.lag, p, params=ham.params).max_abs)
+    sh = s_h_point(ham, VStarPoint(p.x, p.p))
     worst_cross = max(
         worst_cross, float(np.max(np.abs(sh.z - p.z))), float(np.max(np.abs(sh.w - p.w)))
     )

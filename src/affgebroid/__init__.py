@@ -26,7 +26,7 @@ from .expressions import ScalarField, constant_field, derive_field, parse
 from .flow import integrate_rk4, integrate_rk45
 from .hamiltonian import HamiltonianSystem, hamilton_vector_field
 from .lagrangian import LagrangianSystem, el_vector_field
-from .legendre import LegendrePair, NewtonParams, leg, leg_inverse
+from .legendre import InducedHamiltonian, NewtonParams, leg, leg_inverse
 from .model import (
     AffgebroidModel,
     APoint,
@@ -47,10 +47,10 @@ __all__ = [
     "DomainError",
     "EvaluationError",
     "HamiltonianSystem",
+    "InducedHamiltonian",
     "JacobiViolation",
     "JetPoint",
     "LagrangianSystem",
-    "LegendrePair",
     "NewtonDivergence",
     "NewtonParams",
     "NonFiniteState",

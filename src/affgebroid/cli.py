@@ -65,7 +65,7 @@ from .hamiltonian import (
     poisson_hamiltonian_field,
 )
 from .lagrangian import LagrangianSystem, el_vector_field
-from .legendre import LegendrePair, NewtonParams, flow_commutation_check, leg_inverse
+from .legendre import InducedHamiltonian, NewtonParams, flow_commutation_check, leg_inverse
 from .model import AffgebroidModel, APoint, Chart, VStarPoint, validate_structure
 from .tulczyjew import a_map, a_map_inverse, s_h_point, s_l_generator, s_l_residual, sigma
 
@@ -316,8 +316,13 @@ def load_config(path):
     )
 
 
-def _fmt(v):
-    return "%.17g" % v
+def _write(path, text):
+    """Write text to path, an unwritable path reported as a config error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError("cannot write %s: %s" % (path, e))
 
 
 def _pure_algebra(model):
@@ -359,23 +364,21 @@ def cmd_simulate(args):
             raise ConfigError("lagrangian: required for --mode lagrangian")
         if bundle.initial.y is None:
             raise ConfigError("initial.y: required for --mode lagrangian")
-        sys_obj = bundle.lag_sys
-        field = el_vector_field(sys_obj)
+        field = el_vector_field(bundle.lag_sys)
         state0 = np.concatenate([bundle.initial.x, bundle.initial.y])
         coord_names = chart.fibre_names
         value_name = "L"
-        value_field = sys_obj.lagrangian
+        value_field = bundle.lag_sys.lagrangian
     else:
         if bundle.ham_sys is None:
             raise ConfigError("hamiltonian: required for --mode hamiltonian")
         if bundle.initial.p is None:
             raise ConfigError("initial.p: required for --mode hamiltonian")
-        sys_obj = bundle.ham_sys
-        field = hamilton_vector_field(sys_obj)
+        field = hamilton_vector_field(bundle.ham_sys)
         state0 = np.concatenate([bundle.initial.x, bundle.initial.p])
         coord_names = chart.dual_names
         value_name = "H"
-        value_field = sys_obj.hamiltonian
+        value_field = bundle.ham_sys.hamiltonian
 
     integ = bundle.integrator
     if integ.method == "rk4":
@@ -388,29 +391,22 @@ def cmd_simulate(args):
     with_casimir = args.mode == "hamiltonian" and _pure_algebra(bundle.model)
     base_headers = ["t_state" if nm == "t" else nm for nm in chart.base_names]
     header = ["t"] + base_headers + list(coord_names) + [value_name, "residual"]
-    if with_casimir:
-        header.append("casimir")
-
+    states = traj.states
     if len(traj) >= 3:
         # the field at every state but the last is the integrator's first
         # stage there, which the field being pure makes exact to reuse
-        defect = time_derivative(traj.times, traj.states)
         rates = np.vstack([traj.slopes, field(traj.final)])
+        residual = np.max(np.abs(time_derivative(traj.times, states) - rates), axis=1)
     else:
-        defect = None
-    lines = [",".join(header)]
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        value = value_field.eval(state)
-        if defect is None:
-            residual = float("nan")
-        else:
-            residual = float(np.max(np.abs(defect[i] - rates[i])))
-        row = [t] + list(state) + [value, residual]
-        if with_casimir:
-            row.append(0.5 * float(state[m:] @ state[m:]))
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        residual = np.full(len(traj), np.nan)
+    columns = [traj.times, states, [value_field.eval(s) for s in states], residual]
+    if with_casimir:
+        header.append("casimir")
+        # a dot per row: a vectorised sum of squares may round differently
+        columns.append([0.5 * float(s[m:] @ s[m:]) for s in states])
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(r) for r in np.column_stack(columns).tolist()]
+    _write(args.out, "\n".join(lines) + "\n")
     print("wrote %d rows to %s" % (len(traj), args.out))
     return 0
 
@@ -532,22 +528,22 @@ def _generated_residual(bundle, rng):
 
 
 def _submanifold_match(bundle, rng):
-    # one pair for every point: its Newton warm start carries between them
-    pair = LegendrePair(bundle.lag_sys, params=bundle.newton)
+    # one Hamiltonian for every point: its Newton warm start carries over
+    ham = InducedHamiltonian(bundle.lag_sys, params=bundle.newton)
 
     def at(bundle, rng):
-        ph = s_h_point(pair.ham, bundle.model.chart.sample_vstar(rng))
-        on_l = s_l_residual(pair.lag, ph, params=bundle.newton).max_abs
-        pl = s_l_generator(pair.lag, bundle.model.chart.sample_a(rng))
-        return on_l, _gap(s_h_point(pair.ham, VStarPoint(pl.x, pl.p)), pl)
+        ph = s_h_point(ham, bundle.model.chart.sample_vstar(rng))
+        on_l = s_l_residual(bundle.lag_sys, ph, params=bundle.newton).max_abs
+        pl = s_l_generator(bundle.lag_sys, bundle.model.chart.sample_a(rng))
+        return on_l, _gap(s_h_point(ham, VStarPoint(pl.x, pl.p)), pl)
 
     return _sampled(50, at)(bundle, rng)
 
 
 def _flow_commutation(bundle, rng):
-    pair = LegendrePair(bundle.lag_sys, params=bundle.newton)
+    ham = InducedHamiltonian(bundle.lag_sys, params=bundle.newton)
     a0 = APoint(bundle.initial.x, bundle.initial.y)
-    return flow_commutation_check(pair, a0, 1.0, 1e-3)
+    return flow_commutation_check(ham, a0, 1.0, 1e-3)
 
 
 def _route_gaps(bundle, rng):
@@ -681,9 +677,7 @@ def cmd_atiyah_expand(args):
     for key in ("lagrangian", "hamiltonian", "initial", "integrator", "newton", "seed"):
         if key in bundle.raw:
             out[key] = bundle.raw[key]
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write(args.out, json.dumps(out, indent=2) + "\n")
     print("wrote expanded model config to %s" % args.out)
     return 0
 

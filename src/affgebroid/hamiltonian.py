@@ -111,17 +111,10 @@ def hamilton_vector_field(sys):
     return field
 
 
-@dataclass
-class PoissonData:
-    """Affine Poisson bivector on the extended dual, as a matrix over the
-    coordinate order (x^1..x^m, y0, p_1..p_n)."""
-
-    matrix: np.ndarray
-    dim_base: int
-
-
 def poisson_data(model, x, p):
-    """The bivector matrix at a point (independent of the y0 slot value)."""
+    """Affine Poisson bivector on the extended dual at a point, as a matrix
+    over the coordinate order (x^1..x^m, y0, p_1..p_n); it does not depend
+    on the y0 slot value."""
     m = model.chart.dim_base
     n = model.chart.fibre_dim
     s = model.structure_at(x)
@@ -141,7 +134,7 @@ def poisson_data(model, x, p):
         mat[row, m] = -v
         for b in range(n):
             mat[row, m + 1 + b] = float(s.c[a, b] @ p)
-    return PoissonData(matrix=mat, dim_base=m)
+    return mat
 
 
 def _extended_differential(sys, x, p):
@@ -158,8 +151,7 @@ def poisson_hamiltonian_field(sys, y0=0.0):
 
     def field(state):
         x, p = state[:m], state[m:]
-        pd = poisson_data(sys.model, x, p)
-        xvec = pd.matrix @ _extended_differential(sys, x, p)
+        xvec = poisson_data(sys.model, x, p) @ _extended_differential(sys, x, p)
         return np.concatenate([xvec[:m], xvec[m + 1 :]])
 
     return field
@@ -172,10 +164,10 @@ def aff_poisson_bracket(sys1, sys2, point, y0=0.0):
     if sys1.model is not sys2.model:
         raise ValueError("both systems must share one model")
     x, p = point.x, point.p
-    pd = poisson_data(sys1.model, x, p)
+    mat = poisson_data(sys1.model, x, p)
     df1 = _extended_differential(sys1, x, p)
     df2 = _extended_differential(sys2, x, p)
-    return float(df1 @ pd.matrix @ df2)
+    return float(df1 @ mat @ df2)
 
 
 def cosymplectic_check_h(sys, point):

@@ -1,10 +1,11 @@
 """Legendre duality both ways: fibre derivative of L, its Newton inverse,
 the induced Hamiltonian, and reconstruction of L from a Hamiltonian.
 
-The induced Hamiltonian never differentiates the Newton loop; its gradient
-and fibre Hessian come from the implicit-function identities at the paired
-point: dH/dp = y, dH/dx = -dL/dx, fibre Hessian of H = inverse of the fibre
-Hessian of L.
+InducedHamiltonian pairs a regular Lagrangian (.lag) with its Hamiltonian;
+flow_commutation_check reads both sides from it.  It never differentiates
+the Newton loop: its gradient and fibre Hessian come from the
+implicit-function identities at the paired point: dH/dp = y,
+dH/dx = -dL/dx, fibre Hessian of H = inverse of the fibre Hessian of L.
 """
 
 from dataclasses import dataclass
@@ -86,13 +87,6 @@ def leg_inverse(sys, v, guess=None, params=None):
     return APoint(x, _newton(fun_jac, y0, params))
 
 
-def h_from_L(sys, v, guess=None, params=None):
-    """Hamiltonian induced by L at a dual point: p y - L at the matched
-    velocity."""
-    a = leg_inverse(sys, v, guess=guess, params=params)
-    return float(v.p @ a.y) - sys.lagrangian.eval(np.concatenate([a.x, a.y]))
-
-
 class InducedHamiltonian(HamiltonianSystem):
     """Legendre image of a Lagrangian as a live Hamiltonian system.  Keeps a
     warm-start cache for the fibre Newton solve, which saves iterations along
@@ -153,15 +147,6 @@ class InducedHamiltonian(HamiltonianSystem):
         return self._kernel(*values, *args)
 
 
-class LegendrePair:
-    """A Lagrangian system with its induced Hamiltonian side."""
-
-    def __init__(self, lag_sys, params=None):
-        self.lag = lag_sys
-        self.params = params or NewtonParams()
-        self.ham = InducedHamiltonian(lag_sys, self.params)
-
-
 def fh(sys, v):
     """Fibre derivative of a Hamiltonian: (x, p) -> (x, dH/dp).  Inverts the
     Legendre map of the matching Lagrangian."""
@@ -209,10 +194,11 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
     return float(p @ (y - section)) + h_section
 
 
-def flow_commutation_check(pair, a0, t1, dt):
+def flow_commutation_check(ham, a0, t1, dt):
     """Sup over a shared time grid of |Legendre image of the Lagrangian flow
-    minus the Hamiltonian flow| started from matched states."""
-    lag, ham = pair.lag, pair.ham
+    minus the Hamiltonian flow| started from matched states, for an
+    InducedHamiltonian ham and its Lagrangian ham.lag."""
+    lag = ham.lag
     m = lag.model.chart.dim_base
     el_traj = integrate_rk4(
         el_vector_field(lag), np.concatenate([a0.x, a0.y]), 0.0, t1, dt

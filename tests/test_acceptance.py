@@ -27,7 +27,7 @@ from affgebroid.hamiltonian import (
 )
 from affgebroid.lagrangian import cosymplectic_check_L, el_vector_field
 from affgebroid.legendre import (
-    LegendrePair,
+    InducedHamiltonian,
     NewtonParams,
     flow_commutation_check,
     leg,
@@ -106,13 +106,13 @@ def test_criterion_04_flow_commutation():
     osc = catalog.oscillator()
     gaps.append(
         flow_commutation_check(
-            LegendrePair(osc.lag, params=TIGHT), APoint([0.0, 1.0], [0.0]), 1.0, 1e-3
+            InducedHamiltonian(osc.lag, params=TIGHT), APoint([0.0, 1.0], [0.0]), 1.0, 1e-3
         )
     )
     rb = catalog.rigid_body()
     gaps.append(
         flow_commutation_check(
-            LegendrePair(rb.lag, params=TIGHT), APoint([0.0], [1.0, 1.0, 1.0]), 1.0, 1e-3
+            InducedHamiltonian(rb.lag, params=TIGHT), APoint([0.0], [1.0, 1.0, 1.0]), 1.0, 1e-3
         )
     )
     assert line(4, "duality intertwines the two flows on [0, 1]", max(gaps), 1e-5)
@@ -148,21 +148,21 @@ def test_criterion_06_submanifolds_coincide():
     gen_worst = 0.0
     cross_worst = 0.0
     for entry in catalog.all_entries():
-        pair = LegendrePair(entry.lag, params=TIGHT)
+        ham = InducedHamiltonian(entry.lag, params=TIGHT)
         chart = entry.model.chart
         for _ in range(100):
-            p = s_l_generator(pair.lag, chart.sample_a(rng))
-            gen_worst = max(gen_worst, s_l_residual(pair.lag, p, params=TIGHT).max_abs)
-            sh = s_h_point(pair.ham, VStarPoint(p.x, p.p))
+            p = s_l_generator(entry.lag, chart.sample_a(rng))
+            gen_worst = max(gen_worst, s_l_residual(entry.lag, p, params=TIGHT).max_abs)
+            sh = s_h_point(ham, VStarPoint(p.x, p.p))
             cross_worst = max(
                 cross_worst,
                 float(np.max(np.abs(sh.z - p.z))),
                 float(np.max(np.abs(sh.w - p.w))),
             )
             q = chart.sample_vstar(rng)
-            ph = s_h_point(pair.ham, q)
+            ph = s_h_point(ham, q)
             cross_worst = max(
-                cross_worst, s_l_residual(pair.lag, ph, params=TIGHT).max_abs
+                cross_worst, s_l_residual(entry.lag, ph, params=TIGHT).max_abs
             )
     ok_gen = line(6, "generated points satisfy their own membership test", gen_worst, 1e-12)
     ok_cross = line(6, "Lagrangian and Hamiltonian submanifolds coincide", cross_worst, 1e-8)

@@ -10,7 +10,6 @@ from affgebroid.atiyah import (
     SO3_CONSTANTS,
     _constants_tensor,
     conjugate_constants,
-    connection_values,
     curvature,
     flat_spec,
     hp_equations_check,
@@ -75,8 +74,7 @@ def test_bij_antisymmetry_and_shapes():
     assert cur.b0i.shape == (3, 3)
     assert cur.bij.shape == (3, 3, 3)
     assert np.array_equal(cur.bij, -np.transpose(cur.bij, (1, 0, 2)))
-    k0v, kv = connection_values(spec, x)
-    assert k0v.shape == (3,) and kv.shape == (3, 3)
+    assert cur.k0.shape == (3,) and cur.k.shape == (3, 3)
 
 
 @pytest.mark.parametrize(
@@ -161,8 +159,8 @@ def test_lp_dual_assembly(name):
     worst = 0.0
     for _ in range(30):
         point = spec.chart.sample_a(rng)
-        check = lp_equations_check(spec, sys, point, tol=1e-12)
-        assert check.passed
+        check = lp_equations_check(spec, sys, point)
+        assert check.max_abs < 1e-12
         worst = max(worst, check.max_abs)
     assert worst < 1e-12
 
@@ -174,8 +172,43 @@ def test_hp_dual_assembly(name):
     rng = np.random.default_rng(18)
     for _ in range(30):
         point = spec.chart.sample_vstar(rng)
-        check = hp_equations_check(spec, sys, point, tol=1e-12)
-        assert check.passed
+        check = hp_equations_check(spec, sys, point)
+        assert check.max_abs < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + ["random"])
+def test_equation_checks_evaluate_the_connection_once(name, monkeypatch):
+    # curvature() evaluates each connection coefficient once, through
+    # value_grad, and the printed route reads those values from it
+    from affgebroid.expressions import ScalarField
+
+    if name == "random":
+        spec = random_spec(np.random.default_rng(9), m=2, algebra="so3")
+        lag_src = " + ".join("0.5*y%d^2" % a for a in range(1, 6))
+        ham_src = " + ".join("0.5*p%d^2" % a for a in range(1, 6))
+    else:
+        spec = SPECS[name]()
+        lag_src, ham_src = LAGRANGIANS[name], HAMILTONIANS[name]
+    model = reduce(spec)
+    lag, ham = LagrangianSystem(model, lag_src), HamiltonianSystem(model, ham_src)
+    rng = np.random.default_rng(19)
+    a, v = spec.chart.sample_a(rng), spec.chart.sample_vstar(rng)
+    connection = [*spec.k0, *(f for row in spec.k for f in row)]
+
+    calls = {"eval": 0, "value_grad": 0}
+    for method in calls:
+        def counted(self, *args, _name=method, _method=getattr(ScalarField, method), **kwargs):
+            if any(self is f for f in connection):
+                calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScalarField, method, counted)
+    once = {"eval": 0, "value_grad": spec.algebra_dim * (spec.spatial_dim + 1)}
+    lp_equations_check(spec, lag, a)
+    assert calls == once
+    calls.update(eval=0, value_grad=0)
+    hp_equations_check(spec, ham, v)
+    assert calls == once
 
 
 def test_dual_assembly_not_vacuous():

@@ -179,6 +179,56 @@ def test_simulate_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "rk45"])
+@pytest.mark.parametrize("mode", ["lagrangian", "hamiltonian"])
+def test_simulate_residual_column_recomputed_from_the_csv(tmp_path, mode, integrator):
+    # the column is the finite-difference rate of the written states minus a
+    # fresh field call at each row, max-abs per row; the CSV's 17 digits give
+    # back every float, and the field is pure, so the match is exact
+    from affgebroid.flow import time_derivative
+    from affgebroid.hamiltonian import hamilton_vector_field
+    from affgebroid.lagrangian import el_vector_field
+
+    changes = {"integrator": RK45} if integrator == "rk45" else {}
+    path = write_config(tmp_path, edited(RIGID, changes))
+    out = str(tmp_path / "x.csv")
+    assert main(["simulate", path, "--mode", mode, "--out", out]) == 0
+    header, rows = read_csv(out)
+    data = np.array(rows)
+    bundle = load_config(path)
+    if mode == "lagrangian":
+        field = el_vector_field(bundle.lag_sys)
+    else:
+        field = hamilton_vector_field(bundle.ham_sys)
+    states = data[:, 1 : 1 + bundle.chart.dim_base + bundle.chart.fibre_dim]
+    rates = np.array([field(s) for s in states])
+    expect = np.max(np.abs(time_derivative(data[:, 0], states) - rates), axis=1)
+    assert len(data) >= 3
+    assert np.array_equal(data[:, header.index("residual")], expect)
+
+
+def test_simulate_residual_is_nan_below_three_rows(tmp_path):
+    path = write_config(tmp_path, edited(OSC, {"integrator.dt": 1.0}))
+    out = str(tmp_path / "x.csv")
+    assert main(["simulate", path, "--mode", "lagrangian", "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(math.isnan(r[header.index("residual")]) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("simulate", OSC, "--mode", "hamiltonian"), ("atiyah-expand", MAGNETIC)],
+    ids=["simulate", "atiyah-expand"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "x.out")
+    assert main([*command, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot write %s: " % out)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode", ["lagrangian", "hamiltonian"])
 def test_rigid_body_long_horizon_drift(tmp_path, mode):
     # the shipped run is 10^4 RK4 steps; the energy (the L or H column) and
@@ -280,6 +330,7 @@ def test_simulate_blowup_exits_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", path, "--mode", "hamiltonian", "--out", out]) == 3
     assert "numeric failure" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_legendre_oscillator_hyperregular(capsys):

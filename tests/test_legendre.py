@@ -10,17 +10,16 @@ from affgebroid.hamiltonian import (
 )
 from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.legendre import (
-    LegendrePair,
+    InducedHamiltonian,
     fh,
     fh_det,
     flow_commutation_check,
-    h_from_L,
     l_from_h,
     leg,
     leg_extended,
     leg_inverse,
 )
-from affgebroid.model import APoint, VStarPoint
+from affgebroid.model import APoint
 
 PAIRED = [oscillator, rigid_body, twisted_line]
 
@@ -57,16 +56,16 @@ def test_round_trip_dual_to_a_and_back(maker):
 @pytest.mark.parametrize("maker", PAIRED)
 def test_induced_hamiltonian_matches_closed_form(maker):
     ent = maker()
-    pair = LegendrePair(ent.lag)
+    ham = InducedHamiltonian(ent.lag)
     for v in sample_v(ent, 10, seed=3):
-        assert h_from_L(ent.lag, v) == pytest.approx(
+        assert InducedHamiltonian(ent.lag).value(v.x, v.p) == pytest.approx(
             ent.ham.value(v.x, v.p), abs=1e-10
         )
-        gx1, gp1 = pair.ham.grad(v.x, v.p)
+        gx1, gp1 = ham.grad(v.x, v.p)
         gx2, gp2 = ent.ham.grad(v.x, v.p)
         assert np.max(np.abs(gx1 - gx2)) < 1e-9
         assert np.max(np.abs(gp1 - gp2)) < 1e-9
-        w1 = pair.ham.fibre_hessian(v.x, v.p)
+        w1 = ham.fibre_hessian(v.x, v.p)
         w2 = ent.ham.fibre_hessian(v.x, v.p)
         assert np.max(np.abs(w1 - w2)) < 1e-9
 
@@ -75,21 +74,21 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
     # L and dL/dx come from the value and gradient kernels, with the bits
     # the full derivatives would give, and no fibre Hessian is built
     ent = twisted_line()
-    pair = LegendrePair(ent.lag)
+    ham = InducedHamiltonian(ent.lag)
     v = sample_v(ent, 1, seed=4)[0]
     calls = []
     derivs = LagrangianSystem.derivs
     monkeypatch.setattr(
         LagrangianSystem, "derivs", lambda self, x, y: calls.append(1) or derivs(self, x, y)
     )
-    hamilton_vector_field(pair.ham)(np.concatenate([v.x, v.p]))
-    gx, _ = pair.ham.grad(v.x, v.p)
-    value = pair.ham.value(v.x, v.p)
-    h = h_from_L(ent.lag, v)
+    hamilton_vector_field(ham)(np.concatenate([v.x, v.p]))
+    gx, _ = ham.grad(v.x, v.p)
+    value = ham.value(v.x, v.p)
+    h = InducedHamiltonian(ent.lag).value(v.x, v.p)
     assert calls == []
     monkeypatch.undo()
     # warm started at its own solution, the match comes back unchanged
-    a = pair.ham._match(v.x, v.p)
+    a = ham._match(v.x, v.p)
     lval, dldx = ent.lag.derivs(a.x, a.y)[:2]
     assert np.array_equal(gx, -dldx)
     assert value == float(v.p @ a.y) - lval
@@ -101,7 +100,7 @@ def test_extended_map_reports_minus_energy():
     ent = twisted_line()
     for a in sample_a(ent, 10, seed=4):
         x, y0, p = leg_extended(ent.lag, a)
-        assert y0 == pytest.approx(-h_from_L(ent.lag, VStarPoint(x, p)), abs=1e-10)
+        assert y0 == pytest.approx(-InducedHamiltonian(ent.lag).value(x, p), abs=1e-10)
 
 
 @pytest.mark.parametrize("maker", PAIRED)
@@ -137,9 +136,9 @@ def test_l_from_h_section_independent():
 
 def test_induced_hamiltonian_drives_cosymplectic_geometry():
     ent = twisted_line()
-    pair = LegendrePair(ent.lag)
+    ham = InducedHamiltonian(ent.lag)
     for v in sample_v(ent, 5, seed=9):
-        r1, r2 = cosymplectic_check_h(pair.ham, v)
+        r1, r2 = cosymplectic_check_h(ham, v)
         assert r1 < 1e-8
         assert r2 < 1e-12
 
@@ -147,10 +146,10 @@ def test_induced_hamiltonian_drives_cosymplectic_geometry():
 @pytest.mark.parametrize("maker", PAIRED)
 def test_flow_commutation(maker):
     ent = maker()
-    pair = LegendrePair(ent.lag)
+    ham = InducedHamiltonian(ent.lag)
     rng = np.random.default_rng(10)
     a0 = ent.model.chart.sample_a(rng)
-    assert flow_commutation_check(pair, a0, 1.0, 1e-3) < 1e-5
+    assert flow_commutation_check(ham, a0, 1.0, 1e-3) < 1e-5
 
 
 def test_newton_divergence_on_degenerate_hamiltonian():
@@ -162,16 +161,16 @@ def test_newton_divergence_on_degenerate_hamiltonian():
 
 def test_warm_start_is_deterministic():
     ent = rigid_body()
-    pair1 = LegendrePair(ent.lag)
-    pair2 = LegendrePair(ent.lag)
+    ham1 = InducedHamiltonian(ent.lag)
+    ham2 = InducedHamiltonian(ent.lag)
     pts = sample_v(ent, 5, seed=11)
-    vals1 = [pair1.ham.value(v.x, v.p) for v in pts]
+    vals1 = [ham1.value(v.x, v.p) for v in pts]
     # different warm-start history agrees within the Newton tolerance
-    vals2 = [pair2.ham.value(v.x, v.p) for v in reversed(pts)][::-1]
+    vals2 = [ham2.value(v.x, v.p) for v in reversed(pts)][::-1]
     assert np.allclose(vals1, vals2, atol=1e-11)
-    # an identical call sequence on a fresh pair reproduces exactly
-    fresh = LegendrePair(ent.lag)
-    again = [fresh.ham.value(v.x, v.p) for v in pts]
+    # an identical call sequence on a fresh Hamiltonian reproduces exactly
+    fresh = InducedHamiltonian(ent.lag)
+    again = [fresh.value(v.x, v.p) for v in pts]
     assert vals1 == again
 
 
@@ -182,11 +181,11 @@ def test_warm_start_agrees_with_cold_start_along_a_path():
     # of the exact fibre solution
     ent = twisted_line()
     quart = LagrangianSystem(ent.model, "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1")
-    warm = LegendrePair(quart).ham
+    warm = InducedHamiltonian(quart)
     tol = warm.params.tol
     for s in np.linspace(0.0, 1.0, 41):
         x, p = [0.5 + 0.4 * s], [2.0 * np.sin(3.0 * s), 1.5 - 3.0 * s]
-        cold = LegendrePair(quart).ham
+        cold = InducedHamiltonian(quart)
         for got, ref in zip(warm.grad(x, p), cold.grad(x, p)):
             assert np.max(np.abs(got - ref)) <= 2.0 * tol
 

@@ -5,7 +5,7 @@ from affgebroid.catalog import all_entries, oscillator, rigid_body, twisted_line
 from affgebroid.flow import integrate_rk4
 from affgebroid.hamiltonian import hamilton_vector_field
 from affgebroid.lagrangian import el_vector_field
-from affgebroid.legendre import LegendrePair, leg
+from affgebroid.legendre import InducedHamiltonian, leg
 from affgebroid.model import AffgebroidModel, APoint, Chart, JetPoint, PhasePoint, VStarPoint
 from affgebroid.tulczyjew import (
     a_map,
@@ -166,16 +166,16 @@ def test_s_h_point_flat_example():
 def test_submanifolds_coincide_for_regular_pairs():
     for maker in (oscillator, rigid_body, twisted_line):
         ent = maker()
-        pair = LegendrePair(ent.lag)
+        ham = InducedHamiltonian(ent.lag)
         rng = np.random.default_rng(10)
         for _ in range(20):
             a = ent.model.chart.sample_a(rng)
             # Hamiltonian-side point at the Legendre image of a
-            ph = s_h_point(pair.ham, leg(ent.lag, a))
+            ph = s_h_point(ham, leg(ent.lag, a))
             assert s_l_residual(ent.lag, ph).max_abs < 1e-8, ent.name
             # and the Lagrangian-side generator is a Hamiltonian-side point
             gen = s_l_generator(ent.lag, a)
-            hh = s_h_point(pair.ham, VStarPoint(gen.x, gen.p))
+            hh = s_h_point(ham, VStarPoint(gen.x, gen.p))
             gap = max(
                 np.max(np.abs(hh.z - gen.z)), np.max(np.abs(hh.w - gen.w))
             )
