@@ -14,10 +14,11 @@ A NUMBER beyond the float range is a ParseError.
 Evaluation is compiled, not interpreted: compile_trees turns a list of trees
 into one generated Python function of straight-line code with shared
 subexpressions, keeping the float helpers' domain errors.  A field compiles
-its value kernel, and one derivative kernel per set of active variables, on
-first use and keeps them.  Derivatives are exact and symbolic: derive_field
-differentiates the tree, each field caches its partials (and their partials
-for the Hessian), and the value and derivative trees go into one kernel.
+one kernel per derivative order, the value (0), with the gradient (1) and
+with the Hessian (2), on first use and keeps them.  Derivatives are exact
+and symbolic: derive_field differentiates the tree, each field caches its
+partials (and their partials for the Hessian), and the value and
+derivative trees go into one kernel.
 The tests keep central finite differences as the independent check on them.
 
 Every tree the package builds, rather than parses, goes through one set of
@@ -55,6 +56,9 @@ _T_OP = 2
 _T_END = 3
 
 _OPS = set("+-*/^()")
+# str.isdigit also takes other scripts' digits and superscripts, which float()
+# refuses or reads as other numbers
+_DIGITS = set("0123456789")
 
 
 def _tokenize(source):
@@ -69,21 +73,21 @@ def _tokenize(source):
             toks.append((_T_OP, ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
                 # otherwise the e/E starts a name token, e.g. "2e" in "2*e"
             text = source[i:j]
@@ -590,8 +594,7 @@ class ScalarField:
         self.variables = tuple(variables)
         self._source = None
         self._partials = [None] * len(self.variables)
-        # compiled on first evaluation: None for eval, (active, second) for
-        # the derivative kernels
+        # compiled on first evaluation, keyed by derivative order, see _kernel
         self._kernels = {}
 
     @property
@@ -600,28 +603,6 @@ class ScalarField:
             self._source = to_source(self.ast)
         return self._source
 
-    def eval(self, values):
-        kernel = self._kernels.get(None)
-        if kernel is None:
-            kernel = self._kernels[None] = compile_trees(
-                [self.ast], self.variables, [(self.ast, True)]
-            )
-        return kernel(*float_args(values, self.variables))[0]
-
-    def __call__(self, *values):
-        return self.eval(values)
-
-    def _active_indices(self, active):
-        if active is None:
-            return list(range(len(self.variables)))
-        idx = []
-        for a in active:
-            if isinstance(a, str):
-                idx.append(self.variables.index(a))
-            else:
-                idx.append(int(a))
-        return idx
-
     def _partial(self, j):
         """d(self)/d(variables[j]), built by derive_field on first use."""
         d = self._partials[j]
@@ -629,39 +610,41 @@ class ScalarField:
             d = self._partials[j] = derive_field(self, self.variables[j])
         return d
 
-    def _derivative_kernel(self, active, second):
-        # value, gradient, then the Hessian row by row: the upper triangle is
-        # evaluated in the order the rows are filled and the lower one
-        # mirrors it, so the Hessian is exactly symmetric
-        idx = self._active_indices(active)
-        k = len(idx)
-        firsts = [self._partial(j) for j in idx]
-        trees = [self.ast] + [d.ast for d in firsts]
-        if second:
-            trees += [
-                firsts[min(r, s)]._partial(idx[max(r, s)]).ast for r in range(k) for s in range(k)
-            ]
-        return compile_trees(trees, self.variables, [(self.ast, True)]), k
+    def _kernel(self, order):
+        # the value, then the gradient (order >= 1), then the Hessian row by
+        # row (order 2): the upper triangle is evaluated in the order the
+        # rows are filled and the lower one mirrors it, so the Hessian is
+        # exactly symmetric
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            k = len(self.variables)
+            firsts = [self._partial(j) for j in range(k)] if order else []
+            trees = [self.ast] + [d.ast for d in firsts]
+            if order == 2:
+                trees += [
+                    firsts[min(r, s)]._partial(max(r, s)).ast for r in range(k) for s in range(k)
+                ]
+            kernel = self._kernels[order] = compile_trees(trees, self.variables, [(self.ast, True)])
+        return kernel
 
-    def _derivatives(self, values, active, second):
-        key = (None if active is None else tuple(active), second)
-        entry = self._kernels.get(key)
-        if entry is None:
-            entry = self._kernels[key] = self._derivative_kernel(active, second)
-        kernel, k = entry
-        out = kernel(*float_args(values, self.variables))
+    def eval(self, values):
+        return self._kernel(0)(*float_args(values, self.variables))[0]
+
+    def __call__(self, *values):
+        return self.eval(values)
+
+    def eval_dual2(self, values):
+        """Value, gradient and Hessian, as a Derivatives triple (val, grad,
+        hess)."""
+        k = len(self.variables)
+        out = self._kernel(2)(*float_args(values, self.variables))
         arr = np.array(out[1:], dtype=float)
-        return Derivatives(out[0], arr[:k], arr[k:].reshape(k, k) if second else None)
+        return Derivatives(out[0], arr[:k], arr[k:].reshape(k, k))
 
-    def eval_dual2(self, values, active=None):
-        """Value, gradient and Hessian with respect to the active variables
-        (all of them by default), as a Derivatives triple (val, grad, hess)."""
-        return self._derivatives(values, active, True)
-
-    def value_grad(self, values, active=None):
+    def value_grad(self, values):
         """Value and gradient only; returns (value, gradient array)."""
-        d = self._derivatives(values, active, False)
-        return d.val, d.grad
+        out = self._kernel(1)(*float_args(values, self.variables))
+        return out[0], np.array(out[1:], dtype=float)
 
     def is_constant(self):
         used = set()

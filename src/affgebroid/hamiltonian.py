@@ -8,25 +8,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Var, compile_trees, float_args, parse
-from .lagrangian import _unit, _wedge, bordered_volume_det
+from .expressions import Var, compile_trees, float_args
+from .lagrangian import _EnergySystem, _unit, _wedge, bordered_volume_det
 from .model import motion_trees
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(_EnergySystem):
     """A model with a Hamiltonian over (base, momentum) coordinates.
 
     Evaluation goes through value/grad/fibre_hessian/motion so a numerically
     induced Hamiltonian (Legendre image of a Lagrangian) can drop in for a
-    parsed one.
+    parsed one.  Its kernels are compiled as a LagrangianSystem's are, one
+    per kind: "motion" and "legendre".
     """
 
     def __init__(self, model, hamiltonian):
-        self.model = model
-        if not isinstance(hamiltonian, str):
-            raise TypeError("hamiltonian must be a source string")
-        self.hamiltonian = parse(hamiltonian, model.chart.base_names + model.chart.dual_names)
-        self._kernel = None
+        super().__init__(model, hamiltonian, "hamiltonian", model.chart.dual_names)
+        self.hamiltonian = self._energy
 
     def _point(self, x, p):
         return np.concatenate([np.asarray(x, float), np.asarray(p, float)])
@@ -41,22 +39,25 @@ class HamiltonianSystem:
         return g[:m], g[m:]
 
     def fibre_hessian(self, x, p):
-        names = self.model.chart.dual_names
-        return self.hamiltonian.eval_dual2(self._point(x, p), active=names).hess
+        """The momentum Hessian W_H, from the "legendre" kernel."""
+        return self.legendre_data(x, p)[2]
 
     def motion(self, state):
         """xdot, pdot and dH/dp at the state (x, p), as one flat tuple from
-        one kernel compiled on first use.  Its checked steps are the
-        structure fields, then the value of H, then its partials."""
-        if self._kernel is None:
-            model, h = self.model, self.hamiltonian
-            m = model.chart.dim_base
-            grad = [h._partial(j).ast for j in range(len(h.variables))]
-            steps = model.structure_steps() + [(h.ast, True)] + [(d, False) for d in grad]
-            p = [Var(name) for name in h.variables[m:]]
-            outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p)
-            self._kernel = compile_trees(outputs, h.variables, steps)
-        return self._kernel(*float_args(state, self.hamiltonian.variables))
+        the "motion" kernel.  Its checked steps are the structure fields,
+        then the value of H, then its partials."""
+        return self.kernel("motion")(*float_args(state, self.hamiltonian.variables))
+
+    def _compile(self, kind):
+        if kind != "motion":
+            return super()._compile(kind)
+        model, h = self.model, self.hamiltonian
+        m = model.chart.dim_base
+        grad = [h._partial(j).ast for j in range(len(h.variables))]
+        steps = model.structure_steps() + [(h.ast, True)] + [(d, False) for d in grad]
+        p = [Var(name) for name in h.variables[m:]]
+        outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p)
+        return compile_trees(outputs, h.variables, steps)
 
 
 @dataclass

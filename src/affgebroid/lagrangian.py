@@ -5,16 +5,19 @@ Prolongation vectors and covectors use the fixed basis order
 the reference slot, 1..n the fibre block, n+1..2n the vertical block.
 
 A system evaluates L through two compiled kernels over (x, y), see
-LagrangianSystem.kernel.  The "el" kernel returns the base velocity, the
+_EnergySystem.kernel.  The "el" kernel returns the base velocity, the
 right side r of W xi = r, the fibre Hessian W and the momentum-equation
 right side; it builds the momentum equation with model.motion_trees, the
 builder of the Hamilton motion.  The dynamics section and the vector field
 read it, and a generated LU solve then gives xi.  The "legendre" kernel
 returns L, dL/dy and W (read through legendre_data) for the Legendre map,
-the energy and the regularity test.  The regularity rule is the LU's: W is
-regular when its 1-norm condition number ||W||_1 ||W^-1||_1 is below 1e12.
-Only cartan_data, the independent route the cosymplectic check compares
-against, assembles the pieces in numpy from derivs.
+the energy and the Newton solves of the inverse map.  A HamiltonianSystem
+compiles its "legendre" kernel (H, dH/dp, W_H) with the same builder, so
+both directions of the Legendre duality read one kernel.  The regularity
+rule is the LU's: W is regular when its 1-norm condition number
+||W||_1 ||W^-1||_1 is below 1e12.  Only cartan_data, the independent route
+the cosymplectic check compares against, assembles the pieces in numpy
+from derivs.
 """
 
 import functools
@@ -29,16 +32,81 @@ from .expressions import tree_product, tree_sum
 from .model import motion_trees
 
 
-class LagrangianSystem:
+class _EnergySystem:
+    """A model with an energy function over (base, fibre) coordinates, L
+    over (x, y) or H over (x, p), and the fused kernels over them."""
+
+    def __init__(self, model, source, what, fibre_names):
+        if not isinstance(source, str):
+            raise TypeError("%s must be a source string" % what)
+        self.model = model
+        self._energy = parse(source, model.chart.base_names + fibre_names)
+        # compiled on first use, one per kind, see kernel
+        self._kernels = {}
+
+    def kernel(self, kind):
+        """A fused kernel over (base, fibre) values, compiled on first use,
+        returning one flat tuple.  kind "legendre" returns the energy
+        function E, dE/dfibre and its fibre Hessian W row-major; "el" (L
+        only) returns the base velocity vel, r = rhs - vel d2L/dxdy, W and
+        the momentum-equation right side rhs; "motion" (H only) returns
+        xdot, pdot and dH/dp."""
+        k = self._kernels.get(kind)
+        if k is None:
+            k = self._kernels[kind] = self._compile(kind)
+        return k
+
+    def _compile(self, kind):
+        # "legendre" and "el"; the checked steps run as the separate
+        # evaluations ran them: the structure fields (for "el"), the value
+        # of the energy function, then its partials in the order eval_dual2
+        # evaluates them
+        model, f = self.model, self._energy
+        m, n = model.chart.dim_base, model.chart.fibre_dim
+        grad = [f._partial(j) for j in range(m + n)]
+
+        def hess(r, s):
+            return grad[min(r, s)]._partial(max(r, s)).ast
+
+        w = [[hess(m + a, m + b) for b in range(n)] for a in range(n)]
+        upper = [w[a][b] for a in range(n) for b in range(a, n)]
+        w_flat = [t for row in w for t in row]
+        dldy = [d.ast for d in grad[m:]]
+        if kind == "legendre":
+            steps = [(f.ast, True)] + [(t, False) for t in dldy + upper]
+            return compile_trees([f.ast] + dldy + w_flat, f.variables, steps)
+        d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
+        partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
+        steps = model.structure_steps() + [(f.ast, True)] + [(t, False) for t in partials]
+        # the momentum equation is the Hamilton pdot at dH/dx = -dL/dx,
+        # dH/dp = y and p = dL/dy
+        y = [Var(name) for name in f.variables[m:]]
+        dhdx = [tree_negate(d.ast) for d in grad[:m]]
+        motion = motion_trees(model.structure_trees(), dhdx, y, dldy)
+        vel, rhs = motion[:m], motion[m : m + n]
+        drift = [tree_sum(tree_product(vel[i], d2xy[i][a]) for i in range(m)) for a in range(n)]
+        r = [tree_sum([rhs[a], tree_negate(drift[a])]) for a in range(n)]
+        return compile_trees(vel + r + w_flat + rhs, f.variables, steps)
+
+    def evaluate(self, kind, x, y):
+        """The kernel of that kind at (x, y)."""
+        return self.kernel(kind)(*float_args(list(x) + list(y), self._energy.variables))
+
+    def legendre_data(self, x, y):
+        """The energy function, its fibre gradient and its fibre Hessian W
+        at (x, y), from the "legendre" kernel: L, dL/dy and W for a
+        Lagrangian, H, dH/dp and W_H for a Hamiltonian."""
+        n = self.model.chart.fibre_dim
+        out = self.evaluate("legendre", x, y)
+        return out[0], np.array(out[1 : 1 + n]), np.reshape(out[1 + n :], (n, n))
+
+
+class LagrangianSystem(_EnergySystem):
     """A model together with a Lagrangian over (base, velocity) coordinates."""
 
     def __init__(self, model, lagrangian):
-        self.model = model
-        if not isinstance(lagrangian, str):
-            raise TypeError("lagrangian must be a source string")
-        self.lagrangian = parse(lagrangian, model.chart.base_names + model.chart.fibre_names)
-        # compiled on first use: "el" and "legendre", see kernel
-        self._kernels = {}
+        super().__init__(model, lagrangian, "lagrangian", model.chart.fibre_names)
+        self.lagrangian = self._energy
 
     def derivs(self, x, y):
         """Value, base gradient, fibre gradient, mixed block and fibre Hessian
@@ -47,61 +115,6 @@ class LagrangianSystem:
         point = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
         d = self.lagrangian.eval_dual2(point)
         return d.val, d.grad[:m], d.grad[m:], d.hess[:m, m:], d.hess[m:, m:]
-
-    def kernel(self, kind):
-        """A fused kernel over (x, y), compiled on first use, returning one
-        flat tuple.  kind "el" returns the base velocity vel, r = rhs - vel
-        d2L/dxdy, W row-major and the momentum-equation right side rhs; kind
-        "legendre" returns L, dL/dy and W."""
-        k = self._kernels.get(kind)
-        if k is None:
-            k = self._kernels[kind] = _compile(self, kind)
-        return k
-
-    def evaluate(self, kind, x, y):
-        """The kernel of that kind at (x, y)."""
-        return self.kernel(kind)(*float_args(list(x) + list(y), self.lagrangian.variables))
-
-    def legendre_data(self, x, y):
-        """L, dL/dy and the fibre Hessian W at (x, y), from the "legendre"
-        kernel."""
-        n = self.model.chart.fibre_dim
-        out = self.evaluate("legendre", x, y)
-        return out[0], np.array(out[1 : 1 + n]), np.reshape(out[1 + n :], (n, n))
-
-
-def _compile(sys, kind):
-    # the checked steps run as the separate evaluations ran them: the
-    # structure fields (for "el"), the value of L, then the partials of L
-    # in the order eval_dual2 evaluates them
-    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
-    lag = sys.lagrangian
-    grad = [lag._partial(j) for j in range(m + n)]
-
-    def hess(r, s):
-        return grad[min(r, s)]._partial(max(r, s)).ast
-
-    w = [[hess(m + a, m + b) for b in range(n)] for a in range(n)]
-    upper = [w[a][b] for a in range(n) for b in range(a, n)]
-    w_flat = [t for row in w for t in row]
-    dldy = [d.ast for d in grad[m:]]
-    if kind == "legendre":
-        steps = [(lag.ast, True)] + [(t, False) for t in dldy + upper]
-        return compile_trees([lag.ast] + dldy + w_flat, lag.variables, steps)
-    d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
-    partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
-    steps = sys.model.structure_steps() + [(lag.ast, True)] + [(t, False) for t in partials]
-    # the momentum equation is the Hamilton pdot at dH/dx = -dL/dx, dH/dp = y
-    # and p = dL/dy
-    y = [Var(name) for name in lag.variables[m:]]
-    dhdx = [tree_negate(d.ast) for d in grad[:m]]
-    motion = motion_trees(sys.model.structure_trees(), dhdx, y, dldy)
-    vel, rhs = motion[:m], motion[m : m + n]
-    r = [
-        tree_sum([rhs[a], tree_negate(tree_sum(tree_product(vel[i], d2xy[i][a]) for i in range(m)))])
-        for a in range(n)
-    ]
-    return compile_trees(vel + r + w_flat + rhs, lag.variables, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +202,7 @@ def _fibre_solve(w, b):
 
 
 def regularity(w):
-    """The regularity rule, shared by every fibre solve and by is_regular: W
-    is regular when its 1-norm condition number is below 1e12, which
+    """The regularity rule that every fibre solve applies: W is regular when its 1-norm condition number is below 1e12, which
     rescaling L leaves unchanged.  Returns (flag, condition number); a W
     with a non-finite entry counts as singular."""
     w = np.asarray(w, dtype=float)
@@ -287,12 +299,6 @@ def cartan_data(sys, point, xi0=None):
         omega=omega,
         hessian=w,
     )
-
-
-def is_regular(sys, point):
-    """Regularity of L at a point: nonsingular fibre Hessian under the rule
-    of regularity.  Returns (flag, condition number)."""
-    return regularity(sys.legendre_data(point.x, point.y)[2])
 
 
 def el_section(sys, point):

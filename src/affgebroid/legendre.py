@@ -1,11 +1,14 @@
 """Legendre duality both ways: fibre derivative of L, its Newton inverse,
 the induced Hamiltonian, and reconstruction of L from a Hamiltonian.
 
-InducedHamiltonian pairs a regular Lagrangian (.lag) with its Hamiltonian;
-flow_commutation_check reads both sides from it.  It never differentiates
-the Newton loop: its gradient and fibre Hessian come from the
-implicit-function identities at the paired point: dH/dp = y,
-dH/dx = -dL/dx, fibre Hessian of H = inverse of the fibre Hessian of L.
+Both directions read one kernel, the "legendre" kernel of the system
+(L, dL/dy, W on A; H, dH/dp, W_H on the dual), and run one damped Newton
+on it.  InducedHamiltonian pairs a regular Lagrangian (.lag) with its
+Hamiltonian; flow_commutation_check reads both sides from it.  It never
+differentiates the Newton loop: its value and fibre Hessian come from the
+kernel output at the matched velocity, and its gradient from the
+implicit-function identities there: dH/dp = y, dH/dx = -dL/dx, fibre
+Hessian of H = inverse of the fibre Hessian of L.
 """
 
 from dataclasses import dataclass
@@ -15,8 +18,8 @@ import numpy as np
 from .errors import NewtonDivergence, SingularLagrangian
 from .expressions import Var, compile_trees, float_args
 from .flow import integrate_rk4
-from .hamiltonian import HamiltonianSystem, hamilton_vector_field
-from .lagrangian import _fibre_solve, el_vector_field, solve_fibre_hessian
+from .hamiltonian import hamilton_vector_field
+from .lagrangian import _fibre_solve, el_vector_field
 from .model import APoint, VStarPoint, motion_trees
 
 
@@ -26,23 +29,33 @@ class NewtonParams:
     max_iter: int = 50
 
 
-def _newton(fun_jac, z0, params):
-    """Damped Newton: full step, halved while the residual norm grows.
-    fun_jac(z) -> (residual, jacobian solve callable)."""
-    z = np.array(z0, dtype=float)
-    res, solve = fun_jac(z)
-    norm = float(np.max(np.abs(res)))
+def _newton(sys, x, target, z0, params):
+    """Damped Newton on the fibre for dE/dz(x, z) = target, with E the
+    energy function of sys, L or a parsed H, started at z0 (None: the fibre
+    origin): full step, halved while the residual norm grows.  The steps
+    solve with the fibre Hessian under the regularity rule.  Returns z and
+    the "legendre" kernel output at z, (E, dE/dz, W row-major) as one flat
+    tuple."""
+    n = sys.model.chart.fibre_dim
+    params = params or NewtonParams()
+
+    def at(z):
+        out = sys.evaluate("legendre", x, z)
+        res = np.array(out[1 : 1 + n]) - target
+        return out, res, float(np.max(np.abs(res)))
+
+    z = np.zeros(n) if z0 is None else np.array(z0, dtype=float)
+    out, res, norm = at(z)
     for _ in range(params.max_iter):
         if norm <= params.tol:
-            return z
-        step = solve(res)
+            return z, out
+        step = np.array(_fibre_solve(out[1 + n :], res.tolist()))
         lam = 1.0
         for _ in range(30):
             trial = z - lam * step
-            tres, tsolve = fun_jac(trial)
-            tnorm = float(np.max(np.abs(tres)))
+            tout, tres, tnorm = at(trial)
             if np.isfinite(tnorm) and (tnorm < norm or tnorm <= params.tol):
-                z, res, solve, norm = trial, tres, tsolve, tnorm
+                z, out, res, norm = trial, tout, tres, tnorm
                 break
             lam *= 0.5
         else:
@@ -50,7 +63,7 @@ def _newton(fun_jac, z0, params):
                 "damping stalled at residual %.3e (tol %.1e)" % (norm, params.tol)
             )
     if norm <= params.tol:
-        return z
+        return z, out
     raise NewtonDivergence(
         "no convergence after %d iterations, residual %.3e" % (params.max_iter, norm)
     )
@@ -61,38 +74,23 @@ def leg(sys, a):
     return VStarPoint(a.x, sys.legendre_data(a.x, a.y)[1])
 
 
-def leg_extended(sys, a):
-    """Extended Legendre map into the full dual: (x, y0, p) with
-    y0 = L - y dL/dy, p = dL/dy."""
-    lval, dldy, _ = sys.legendre_data(a.x, a.y)
-    return (a.x.copy(), lval - float(a.y @ dldy), dldy)
-
-
 def leg_inverse(sys, v, guess=None, params=None):
     """Velocity with dL/dy(x, y) = p, by damped Newton on the fibre.
 
     guess seeds the iteration (default: fibre origin).  Requires a regular
     Lagrangian along the path; raises SingularLagrangian or NewtonDivergence.
     """
-    params = params or NewtonParams()
-    n = sys.model.chart.fibre_dim
-    x, p = v.x, v.p
-
-    def fun_jac(y):
-        out = sys.evaluate("legendre", x, y)
-        w = out[1 + n :]
-        return np.array(out[1 : 1 + n]) - p, lambda r: np.array(_fibre_solve(w, r.tolist()))
-
-    y0 = np.zeros(n) if guess is None else np.array(guess, dtype=float)
-    return APoint(x, _newton(fun_jac, y0, params))
+    return APoint(v.x, _newton(sys, v.x, v.p, guess, params)[0])
 
 
-class InducedHamiltonian(HamiltonianSystem):
-    """Legendre image of a Lagrangian as a live Hamiltonian system.  Keeps a
-    warm-start cache for the fibre Newton solve, which saves iterations along
-    continuous paths.  Where Newton starts changes the matched velocity by
-    rounding, within the Newton tol, so results can depend on the order of
-    earlier calls at that level; the same call sequence reproduces exactly."""
+class InducedHamiltonian:
+    """Legendre image of a Lagrangian as a live Hamiltonian: value, grad,
+    fibre_hessian and motion as a HamiltonianSystem has them, read at the
+    velocity the fibre Newton solve matches to p.  Keeps a warm-start cache
+    for that solve, which saves iterations along continuous paths.  Where
+    Newton starts changes the matched velocity by rounding, within the
+    Newton tol, so results can depend on the order of earlier calls at that
+    level; the same call sequence reproduces exactly."""
 
     def __init__(self, lag_sys, params=None):
         self.model = lag_sys.model
@@ -102,30 +100,27 @@ class InducedHamiltonian(HamiltonianSystem):
         self._kernel = None
 
     def _match(self, x, p):
-        a = leg_inverse(
-            self.lag, VStarPoint(x, p), guess=self._warm, params=self.params
-        )
-        self._warm = a.y.copy()
-        return a
+        # the velocity y with dL/dy(x, y) = p, started at the last one, and
+        # the "legendre" kernel output of L there
+        y, out = _newton(self.lag, x, p, self._warm, self.params)
+        self._warm = y
+        return y, out
 
     def value(self, x, p):
-        a = self._match(x, p)
-        return float(np.asarray(p, float) @ a.y) - self.lag.lagrangian.eval(
-            np.concatenate([a.x, a.y])
-        )
+        y, out = self._match(x, p)
+        return float(np.asarray(p, float) @ y) - out[0]
 
     def grad(self, x, p):
-        a = self._match(x, p)
-        point = np.concatenate([a.x, a.y])
-        _, dldx = self.lag.lagrangian.value_grad(point, active=self.model.chart.base_names)
-        return -dldx, a.y.copy()
+        y, _ = self._match(x, p)
+        _, dl = self.lag.lagrangian.value_grad(np.concatenate([x, y]))
+        return -dl[: self.model.chart.dim_base], y.copy()
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
         regularity rule of the fibre solves."""
-        a = self._match(x, p)
-        w = self.lag.legendre_data(a.x, a.y)[2]
-        return np.array([_fibre_solve(w.ravel().tolist(), e) for e in np.eye(len(w)).tolist()]).T
+        y, out = self._match(x, p)
+        w = out[1 + len(y) :]
+        return np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
 
     def motion(self, state):
         """As HamiltonianSystem.motion, from the same trees with the
@@ -147,51 +142,27 @@ class InducedHamiltonian(HamiltonianSystem):
         return self._kernel(*values, *args)
 
 
-def fh(sys, v):
-    """Fibre derivative of a Hamiltonian: (x, p) -> (x, dH/dp).  Inverts the
-    Legendre map of the matching Lagrangian."""
-    _, dhdp = sys.grad(v.x, v.p)
-    return APoint(v.x, dhdp)
-
-
-def fh_det(sys, v):
-    """Determinant of the momentum Hessian of H; nonzero where fh is a local
-    diffeomorphism."""
-    return float(np.linalg.det(sys.fibre_hessian(v.x, v.p)))
-
-
 def l_from_h(sys, a, section=None, guess=None, params=None):
-    """Lagrangian reconstructed from a Hamiltonian at a point of A.
+    """Lagrangian reconstructed from a parsed HamiltonianSystem at a point
+    of A.
 
     Runs through an auxiliary reference section (fibre components `section`,
     default zero): with p matched by dH/dp = y,
         L = p (y - section) + (-H + section p).
     The section contribution cancels identically; callers can pass different
     sections to see the same value, which is the point of keeping the
-    argument.  The Newton steps solve with the momentum Hessian under the
-    regularity rule of the fibre solves, and a Hessian that fails it raises
+    argument.  The Newton reads H, dH/dp and the momentum Hessian from the
+    "legendre" kernel of sys; its steps solve under the regularity rule of
+    the fibre solves, and a Hessian that fails it raises
     NewtonDivergence("momentum Hessian singular").
     """
-    params = params or NewtonParams()
-    x, y = a.x, a.y
     n = sys.model.chart.fibre_dim
     section = np.zeros(n) if section is None else np.asarray(section, dtype=float)
-
-    def fun_jac(p):
-        _, dhdp = sys.grad(x, p)
-
-        def solve(r):
-            try:
-                return solve_fibre_hessian(sys.fibre_hessian(x, p), r)
-            except SingularLagrangian:
-                raise NewtonDivergence("momentum Hessian singular") from None
-
-        return dhdp - y, solve
-
-    p0 = np.zeros(n) if guess is None else np.array(guess, dtype=float)
-    p = _newton(fun_jac, p0, params)
-    h_section = -sys.value(x, p) + float(section @ p)
-    return float(p @ (y - section)) + h_section
+    try:
+        p, out = _newton(sys, a.x, a.y, guess, params)
+    except SingularLagrangian:
+        raise NewtonDivergence("momentum Hessian singular") from None
+    return float(p @ (a.y - section)) + (-out[0] + float(section @ p))
 
 
 def flow_commutation_check(ham, a0, t1, dt):

@@ -49,6 +49,10 @@ class Chart:
         for name in self.base_names:
             if not name.isidentifier():
                 raise ValueError("bad coordinate name %r" % name)
+            if name in self.fibre_names + self.dual_names:
+                raise ValueError(
+                    "base coordinate %r is named like a fibre or momentum coordinate" % name
+                )
         self.base_box = self._check_box(base_box, m, "base")
         self.fibre_box = self._check_box(fibre_box, n, "fibre")
         self.dual_box = self._check_box(dual_box, n, "dual") if dual_box is not None else self.fibre_box

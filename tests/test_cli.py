@@ -79,6 +79,19 @@ def test_unknown_nested_key_reports_path(tmp_path, capsys):
     assert "chart.basis" in capsys.readouterr().err
 
 
+def test_base_named_like_a_fibre_coordinate_exits_2(tmp_path, capsys):
+    # its box entry would set the base and the fibre interval both
+    cfg = oscillator_config()
+    cfg["chart"] = {"base": ["y1"], "fibre_dim": 1, "box": {"y1": [0.5, 0.9]}}
+    cfg["structure"] = {"rho0": ["1"], "rho": [["0"]]}
+    cfg["lagrangian"], cfg["hamiltonian"] = "0.5*y1^2", "0.5*p1^2"
+    del cfg["initial"]
+    assert main(["validate", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: chart: base coordinate 'y1' is named like a fibre or momentum coordinate\n"
+    )
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"chart": [,}')
@@ -296,7 +309,7 @@ def test_load_config_compiles_nothing():
         assert all(f._kernels == {} for f in fields)
         # nor the fused field kernels of the two systems
         assert bundle.lag_sys._kernels == {}
-        assert bundle.ham_sys._kernel is None
+        assert bundle.ham_sys._kernels == {}
 
 
 def test_simulate_missing_expression_exits_2(tmp_path, capsys):
@@ -779,3 +792,21 @@ def test_check_and_legendre_read_the_system_kernels(monkeypatch, capsys):
     assert calls == {"derivs": 0, "eval_dual2": 0}
     assert main(["legendre", RIGID]) == 0
     assert calls["eval_dual2"] == 0
+
+
+def test_cli_digest_fingerprints_each_command(capsys):
+    import cli_digest
+
+    before = sorted(CONFIGS.iterdir())
+    assert cli_digest.main([OSC]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    shown = "configs/oscillator.json"
+    argv = [[cmd, shown] for cmd in ("check", "validate", "legendre")]
+    argv += [["simulate", shown, "--mode", m, "--out", "OUT"] for m in ("lagrangian", "hamiltonian")]
+    assert [r["argv"] for r in records] == argv
+    assert [r["exit"] for r in records] == [0] * 5
+    assert [r["file"] is None for r in records] == [True] * 3 + [False] * 2
+    assert all(len(r[k]) == 64 for r in records for k in ("stdout", "stderr"))
+    # a second run reproduces every fingerprint and the configs are only read
+    assert cli_digest.digest([OSC]) == records
+    assert sorted(CONFIGS.iterdir()) == before

@@ -21,7 +21,7 @@ from affgebroid.lagrangian import (
     regularity,
     solve_fibre_hessian,
 )
-from affgebroid.legendre import InducedHamiltonian, fh_det, l_from_h
+from affgebroid.legendre import InducedHamiltonian, l_from_h
 from affgebroid.model import AffgebroidModel, APoint, Chart, VStarPoint
 
 EPS = np.finfo(float).eps
@@ -222,8 +222,6 @@ def test_induced_fibre_hessian_follows_the_regularity_rule():
     quartic = InducedHamiltonian(LagrangianSystem(line, "0.25*y1^4"))
     with pytest.raises(SingularLagrangian, match="fibre Hessian singular"):
         quartic.fibre_hessian([0.0], [0.0])
-    with pytest.raises(SingularLagrangian, match="fibre Hessian singular"):
-        fh_det(quartic, VStarPoint([0.0], [0.0]))
     plane = AffgebroidModel(Chart(["t"], 2), ["1"], [["0"], ["0"]])
     stiff = InducedHamiltonian(LagrangianSystem(plane, "0.5*y1^2 + 0.5e-13*y2^2"))
     with pytest.raises(SingularLagrangian, match="condition number 1.000e\\+13"):

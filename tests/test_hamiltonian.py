@@ -126,3 +126,17 @@ def test_euler_equations_signs():
     dot = f(np.concatenate([[0.0], p]))
     assert np.allclose(dot[1:], np.cross(p, omega), atol=1e-14)
     assert dot[0] == 0.0  # frozen base for the pure-algebra model
+
+
+@pytest.mark.parametrize("ent", all_entries(), ids=lambda e: e.name)
+def test_legendre_data_is_the_momentum_block_of_the_full_derivatives(ent):
+    # the "legendre" kernel of H gives, bit for bit, H, dH/dp and the
+    # momentum Hessian that the full second-order derivatives give
+    m = ent.model.chart.dim_base
+    for v in random_points(ent, 20, seed=12):
+        h, dhdp, w = ent.ham.legendre_data(v.x, v.p)
+        d = ent.ham.hamiltonian.eval_dual2(np.concatenate([v.x, v.p]))
+        assert h == d.val
+        assert np.array_equal(dhdp, d.grad[m:])
+        assert np.array_equal(w, d.hess[m:, m:])
+        assert np.array_equal(ent.ham.fibre_hessian(v.x, v.p), w)

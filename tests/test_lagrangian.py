@@ -14,8 +14,8 @@ from affgebroid.lagrangian import (
     el_section,
     el_vector_field,
     energy,
-    is_regular,
     momentum_equation_rhs,
+    regularity,
     vertical_endomorphism,
 )
 from affgebroid.model import APoint
@@ -104,10 +104,10 @@ def test_vertical_endomorphism_nilpotent_and_kills_sode():
 def test_regularity_and_singular_error():
     ent = oscillator()
     pt = APoint([0.0, 0.1], [0.2])
-    ok, cond = is_regular(ent.lag, pt)
+    ok, cond = regularity(ent.lag.legendre_data(pt.x, pt.y)[2])
     assert ok and cond == pytest.approx(1.0)
     bad = LagrangianSystem(ent.model, "y1 + q")
-    ok, cond = is_regular(bad, pt)
+    ok, cond = regularity(bad.legendre_data(pt.x, pt.y)[2])
     assert not ok and math.isinf(cond)
     with pytest.raises(SingularLagrangian):
         el_section(bad, pt)
@@ -120,7 +120,7 @@ def test_el_field_unchanged_by_scaling_L():
     scaled = LagrangianSystem(ent.model, "0.5e-5*y1^2 + 1e-5*y2^2 + 1.5e-5*y3^2")
     f, g = el_vector_field(ent.lag), el_vector_field(scaled)
     for pt in random_points(ent, 10, seed=3):
-        ok, cond = is_regular(scaled, pt)
+        ok, cond = regularity(scaled.legendre_data(pt.x, pt.y)[2])
         assert ok and cond == pytest.approx(3.0)
         state = np.concatenate([pt.x, pt.y])
         assert np.allclose(g(state), f(state), rtol=1e-12, atol=1e-12)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from affgebroid.catalog import oscillator, rigid_body, twisted_line
+from affgebroid.catalog import all_entries, oscillator, rigid_body, twisted_line
 from affgebroid.errors import NewtonDivergence
+from affgebroid.expressions import ScalarField
 from affgebroid.hamiltonian import (
     HamiltonianSystem,
     cosymplectic_check_h,
@@ -11,12 +14,9 @@ from affgebroid.hamiltonian import (
 from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.legendre import (
     InducedHamiltonian,
-    fh,
-    fh_det,
     flow_commutation_check,
     l_from_h,
     leg,
-    leg_extended,
     leg_inverse,
 )
 from affgebroid.model import APoint
@@ -88,7 +88,7 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     # warm started at its own solution, the match comes back unchanged
-    a = ham._match(v.x, v.p)
+    a = APoint(v.x, ham._match(v.x, v.p)[0])
     lval, dldx = ent.lag.derivs(a.x, a.y)[:2]
     assert np.array_equal(gx, -dldx)
     assert value == float(v.p @ a.y) - lval
@@ -99,7 +99,8 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
 def test_extended_map_reports_minus_energy():
     ent = twisted_line()
     for a in sample_a(ent, 10, seed=4):
-        x, y0, p = leg_extended(ent.lag, a)
+        lval, p, _ = ent.lag.legendre_data(a.x, a.y)
+        x, y0 = a.x, lval - float(a.y @ p)
         assert y0 == pytest.approx(-InducedHamiltonian(ent.lag).value(x, p), abs=1e-10)
 
 
@@ -108,9 +109,9 @@ def test_fh_inverts_leg(maker):
     ent = maker()
     for a in sample_a(ent, 10, seed=5):
         v = leg(ent.lag, a)
-        back = fh(ent.ham, v)
-        assert np.max(np.abs(back.y - a.y)) < 1e-12
-        assert fh_det(ent.ham, v) != 0.0
+        back = ent.ham.grad(v.x, v.p)[1]
+        assert np.max(np.abs(back - a.y)) < 1e-12
+        assert np.linalg.det(ent.ham.fibre_hessian(v.x, v.p)) != 0.0
 
 
 @pytest.mark.parametrize("maker", PAIRED)
@@ -119,6 +120,61 @@ def test_l_from_h_recovers_lagrangian(maker):
     for a in sample_a(ent, 10, seed=6):
         lval = ent.lag.derivs(a.x, a.y)[0]
         assert l_from_h(ent.ham, a) == pytest.approx(lval, abs=1e-10)
+
+
+def _count_calls(monkeypatch, field, calls):
+    # calls of the evaluation methods of ScalarField on this one field
+    for name in ("eval", "value_grad", "eval_dual2"):
+        def counted(self, *args, _name=name, _method=getattr(ScalarField, name)):
+            if self is field:
+                calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(ScalarField, name, counted)
+
+
+@pytest.mark.parametrize("maker", PAIRED)
+def test_l_from_h_reads_only_the_legendre_kernel_of_h(maker, monkeypatch):
+    ent = maker()
+    calls = Counter()
+    _count_calls(monkeypatch, ent.ham.hamiltonian, calls)
+    for a in sample_a(ent, 5, seed=13):
+        l_from_h(ent.ham, a)
+    assert calls == Counter()
+
+
+def _quartic_entry():
+    ent = twisted_line()
+    src = "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1"
+    ent.name, ent.lag = "twisted_line-quartic", LagrangianSystem(ent.model, src)
+    return ent
+
+
+@pytest.mark.parametrize("ent", all_entries() + [_quartic_entry()], ids=lambda e: e.name)
+def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch):
+    # value and fibre_hessian read L and W from the kernel output at the
+    # Newton's last iterate: they make the "legendre" kernel calls that a
+    # leg_inverse from the same start makes, one per residual, and nothing
+    # else evaluates L
+    calls = Counter()
+    _count_calls(monkeypatch, ent.lag.lagrangian, calls)
+    evaluate = LagrangianSystem.evaluate
+
+    def counted(self, kind, x, y):
+        calls[kind] += 1
+        return evaluate(self, kind, x, y)
+
+    monkeypatch.setattr(LagrangianSystem, "evaluate", counted)
+    for v in sample_v(ent, 5, seed=14):
+        v.p *= 3.0
+        for method in ("value", "fibre_hessian"):
+            calls.clear()
+            leg_inverse(ent.lag, v)
+            residuals = calls["legendre"]
+            assert calls == Counter(legendre=residuals) and residuals >= 1
+            calls.clear()
+            getattr(InducedHamiltonian(ent.lag), method)(v.x, v.p)
+            assert calls == Counter(legendre=residuals), method
 
 
 def test_l_from_h_section_independent():

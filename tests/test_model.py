@@ -37,6 +37,13 @@ def test_chart_basics():
         Chart(["t"], 1, base_box=[(1.0, 1.0)])
 
 
+@pytest.mark.parametrize("name", ["y2", "p1"])
+def test_chart_rejects_a_base_named_like_a_fibre_or_momentum(name):
+    with pytest.raises(ValueError, match="base coordinate '%s' is named like a fibre" % name):
+        Chart(["t", name], 2)
+    assert Chart(["t", "y3", "p3"], 2).base_names == ("t", "y3", "p3")
+
+
 def test_sampling_respects_box():
     ch = Chart(["t", "q"], 2, base_box=[(0.0, 1.0), (2.0, 3.0)], fibre_box=[(-5.0, -4.0), (7.0, 8.0)])
     rng = np.random.default_rng(0)

@@ -97,28 +97,27 @@ def field_eval(field, values):
     return _value(field, _env(field, [float(v) for v in values]))
 
 
-def _derivatives(field, values, active, second):
+def _derivatives(field, values, second):
     env = _env(field, [float(v) for v in values])
     val = _value(field, env)
-    idx = field._active_indices(active)
-    firsts = [field._partial(j) for j in idx]
+    k = len(field.variables)
+    firsts = [field._partial(j) for j in range(k)]
     grad = np.array([_eval(d.ast, env) for d in firsts], dtype=float)
     if not second:
         return Derivatives(val, grad, None)
-    k = len(idx)
     hess = np.empty((k, k))
     for s1, d in enumerate(firsts):
         for s2 in range(s1, k):
-            hess[s1, s2] = hess[s2, s1] = _eval(d._partial(idx[s2]).ast, env)
+            hess[s1, s2] = hess[s2, s1] = _eval(d._partial(s2).ast, env)
     return Derivatives(val, grad, hess)
 
 
-def field_eval_dual2(field, values, active=None):
-    return _derivatives(field, values, active, True)
+def field_eval_dual2(field, values):
+    return _derivatives(field, values, True)
 
 
-def field_value_grad(field, values, active=None):
-    d = _derivatives(field, values, active, False)
+def field_value_grad(field, values):
+    d = _derivatives(field, values, False)
     return d.val, d.grad
 
 
