@@ -39,6 +39,7 @@ mode.  All numbers carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -724,8 +725,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # argparse looks sys.stderr up when it reports, so one parser serves all
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Var, compile_trees, float_args
+from .flow import rate_field
 from .lagrangian import _EnergySystem, _unit, _wedge, bordered_volume_det
 from .model import motion_trees
 
@@ -16,10 +17,10 @@ from .model import motion_trees
 class HamiltonianSystem(_EnergySystem):
     """A model with a Hamiltonian over (base, momentum) coordinates.
 
-    Evaluation goes through value/grad/fibre_hessian/motion so a numerically
-    induced Hamiltonian (Legendre image of a Lagrangian) can drop in for a
-    parsed one.  Its kernels are compiled as a LagrangianSystem's are, one
-    per kind: "motion" and "legendre".
+    Evaluation goes through value/grad/fibre_hessian/motion/rate so a
+    numerically induced Hamiltonian (Legendre image of a Lagrangian) can
+    drop in for a parsed one.  Its kernels are compiled as a
+    LagrangianSystem's are, one per kind: "motion" and "legendre".
     """
 
     def __init__(self, model, hamiltonian):
@@ -47,6 +48,10 @@ class HamiltonianSystem(_EnergySystem):
         the "motion" kernel.  Its checked steps are the structure fields,
         then the value of H, then its partials."""
         return self.kernel("motion")(*float_args(state, self.hamiltonian.variables))
+
+    def rate(self, state):
+        """xdot and pdot at the state, a list of floats (x, p)."""
+        return self.kernel("motion")(*state)[: len(state)]
 
     def _compile(self, kind):
         if kind != "motion":
@@ -103,13 +108,7 @@ def reeb_section(sys, point):
 def hamilton_vector_field(sys):
     """Autonomous field on (x, p): xdot = anchor drift along dH/dp,
     pdot = - rho dH/dx + momentum twist."""
-    k = sys.model.chart.dim_base + sys.model.chart.fibre_dim
-    motion = sys.motion
-
-    def field(state):
-        return np.array(motion(state)[:k])
-
-    return field
+    return rate_field(sys.rate, sys.model.chart.base_names + sys.model.chart.dual_names)
 
 
 def poisson_data(model, x, p):

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import SingularLagrangian
 from .expressions import Var, compile_trees, float_args, parse, tree_negate
 from .expressions import tree_product, tree_sum
+from .flow import rate_field
 from .model import motion_trees
 
 
@@ -314,15 +315,14 @@ def el_vector_field(sys):
     """Autonomous field on (x, y) space integrating the dynamics:
     xdot = anchor drift, ydot = xi from the momentum equation."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
-    names = sys.lagrangian.variables
     kernel = sys.kernel("el")
     w_end = m + n + n * n
 
-    def field(state):
-        out = kernel(*float_args(state, names))
-        return np.array(out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n]))
+    def rate(state):
+        out = kernel(*state)
+        return out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n])
 
-    return field
+    return rate_field(rate, sys.lagrangian.variables)
 
 
 def energy(sys, point):

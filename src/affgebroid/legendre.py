@@ -12,6 +12,7 @@ Hessian of H = inverse of the fibre Hessian of L.
 """
 
 from dataclasses import dataclass
+from math import isfinite, isnan, nan
 
 import numpy as np
 
@@ -33,28 +34,33 @@ def _newton(sys, x, target, z0, params):
     """Damped Newton on the fibre for dE/dz(x, z) = target, with E the
     energy function of sys, L or a parsed H, started at z0 (None: the fibre
     origin): full step, halved while the residual norm grows.  The steps
-    solve with the fibre Hessian under the regularity rule.  Returns z and
-    the "legendre" kernel output at z, (E, dE/dz, W row-major) as one flat
-    tuple."""
+    solve with the fibre Hessian under the regularity rule.  Runs on lists
+    of floats over the "legendre" kernel of sys; returns z as a list and
+    the kernel output at z, (E, dE/dz, W row-major) as one flat tuple."""
+    names = sys._energy.variables
     n = sys.model.chart.fibre_dim
     params = params or NewtonParams()
+    kernel = sys.kernel("legendre")
+    x, target = float_args(x, names[:-n]), float_args(target, names[-n:])
 
     def at(z):
-        out = sys.evaluate("legendre", x, z)
-        res = np.array(out[1 : 1 + n]) - target
-        return out, res, float(np.max(np.abs(res)))
+        out = kernel(*x, *z)
+        res = [g - p for g, p in zip(out[1 : 1 + n], target)]
+        # the sup norm is NaN when an entry is, as np.max reads it; max()
+        # alone drops a NaN that is not first: max(1.0, nan) == 1.0
+        return out, res, nan if any(map(isnan, res)) else max(map(abs, res))
 
-    z = np.zeros(n) if z0 is None else np.array(z0, dtype=float)
+    z = [0.0] * n if z0 is None else float_args(z0, names[-n:])
     out, res, norm = at(z)
     for _ in range(params.max_iter):
         if norm <= params.tol:
             return z, out
-        step = np.array(_fibre_solve(out[1 + n :], res.tolist()))
+        step = _fibre_solve(out[1 + n :], res)
         lam = 1.0
         for _ in range(30):
-            trial = z - lam * step
+            trial = [a - lam * b for a, b in zip(z, step)]
             tout, tres, tnorm = at(trial)
-            if np.isfinite(tnorm) and (tnorm < norm or tnorm <= params.tol):
+            if isfinite(tnorm) and (tnorm < norm or tnorm <= params.tol):
                 z, out, res, norm = trial, tout, tres, tnorm
                 break
             lam *= 0.5
@@ -85,8 +91,8 @@ def leg_inverse(sys, v, guess=None, params=None):
 
 class InducedHamiltonian:
     """Legendre image of a Lagrangian as a live Hamiltonian: value, grad,
-    fibre_hessian and motion as a HamiltonianSystem has them, read at the
-    velocity the fibre Newton solve matches to p.  Keeps a warm-start cache
+    fibre_hessian, motion and rate as a HamiltonianSystem has them, read at
+    the velocity the fibre Newton solve matches to p.  Keeps a warm-start cache
     for that solve, which saves iterations along continuous paths.  Where
     Newton starts changes the matched velocity by rounding, within the
     Newton tol, so results can depend on the order of earlier calls at that
@@ -110,10 +116,14 @@ class InducedHamiltonian:
         y, out = self._match(x, p)
         return float(np.asarray(p, float) @ y) - out[0]
 
-    def grad(self, x, p):
+    def _grad(self, x, p):
+        # dH/dx = -dL/dx and dH/dp = y at the matched velocity y, as lists
         y, _ = self._match(x, p)
-        _, dl = self.lag.lagrangian.value_grad(np.concatenate([x, y]))
-        return -dl[: self.model.chart.dim_base], y.copy()
+        dl = self.lag.lagrangian._kernel(1)(*x, *y)
+        return [-d for d in dl[1 : 1 + len(x)]], y
+
+    def grad(self, x, p):
+        return tuple(map(np.array, self._grad(float_args(x, self.model.chart.base_names), p)))
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
@@ -125,12 +135,13 @@ class InducedHamiltonian:
     def motion(self, state):
         """As HamiltonianSystem.motion, from the same trees with the
         structure values, dH/dx and dH/dp as free variables: the structure
-        is evaluated first, then grad runs the Newton solve."""
+        is evaluated first, then the Newton solve runs."""
         model = self.model
         m, n = model.chart.dim_base, model.chart.fibre_dim
+        state = float_args(state, model.chart.base_names + model.chart.dual_names)
         x, p = state[:m], state[m:]
         values = model.structure_values(x)
-        dhdx, dhdp = self.grad(x, p)
+        dhdx, dhdp = self._grad(x, p)
         if self._kernel is None:
             gx = [Var("gx%d" % i) for i in range(m)]
             gp = [Var("gp%d" % a) for a in range(n)]
@@ -138,8 +149,11 @@ class InducedHamiltonian:
             names = ["s%d" % k for k in range(len(values))] + [v.name for v in pv + gx + gp]
             trees = motion_trees(model.structure_trees(free=True), gx, gp, pv)
             self._kernel = compile_trees(trees, names)
-        args = float_args(p, model.chart.dual_names) + dhdx.tolist() + dhdp.tolist()
-        return self._kernel(*values, *args)
+        return self._kernel(*values, *p, *dhdx, *dhdp)
+
+    def rate(self, state):
+        """xdot and pdot at the state, a list of floats (x, p)."""
+        return self.motion(state)[: len(state)]
 
 
 def l_from_h(sys, a, section=None, guess=None, params=None):
@@ -162,6 +176,7 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
         p, out = _newton(sys, a.x, a.y, guess, params)
     except SingularLagrangian:
         raise NewtonDivergence("momentum Hessian singular") from None
+    p = np.array(p)
     return float(p @ (a.y - section)) + (-out[0] + float(section @ p))
 
 

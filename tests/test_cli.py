@@ -1,13 +1,16 @@
 """End-to-end runs of the command line through main(argv), shipped configs
 included: exit codes, report wording, CSV layout and byte determinism."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from affgebroid import cli
 from affgebroid.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +59,18 @@ def test_validate_deterministic_output(capsys):
     first = capsys.readouterr().out
     main(["validate", OSC])
     assert capsys.readouterr().out == first
+
+
+def test_argparse_errors_exit_2_on_a_redirected_stderr():
+    # the parser is built once and reused; each usage error still goes to
+    # the stderr in force at the call
+    for _ in range(2):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["simulate", OSC, "--out", "unused.csv"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --mode" in err.getvalue()
+    assert cli._parser() is cli._parser()
 
 
 def test_validate_rejects_non_positive_samples(capsys):

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import flow_reference as ref
+from affgebroid.catalog import all_entries
 from affgebroid.errors import NonFiniteState, StepUnderflow
 from affgebroid.flow import integrate_rk4, integrate_rk45, time_derivative
+from affgebroid.hamiltonian import hamilton_vector_field
+from affgebroid.lagrangian import el_vector_field
 
 
 def test_rk4_exponential():
@@ -163,3 +167,90 @@ def test_rk45_never_evaluates_a_state_twice():
     assert (len(seen) - 1) // 6 > len(traj) - 1
     for state, slope in zip(traj.states, traj.slopes):
         assert np.array_equal(slope, f(state))
+
+
+def _catalog_fields():
+    # every catalog entry in both modes, from a sampled start
+    cases = []
+    for ent in all_entries():
+        rng = np.random.default_rng(3)
+        a, v = ent.model.chart.sample_a(rng), ent.model.chart.sample_vstar(rng)
+        cases.append((ent.name + "-lagrangian", el_vector_field(ent.lag), np.concatenate([a.x, a.y])))
+        cases.append((ent.name + "-hamiltonian", hamilton_vector_field(ent.ham), np.concatenate([v.x, v.p])))
+    return cases
+
+
+CATALOG_FIELDS = _catalog_fields()
+
+
+@pytest.mark.parametrize("name, f, state0", CATALOG_FIELDS, ids=[c[0] for c in CATALOG_FIELDS])
+def test_rk4_matches_the_numpy_loop_bit_for_bit(name, f, state0):
+    # the list step sums in the order of the array step, so nothing moves
+    got = integrate_rk4(f, state0, 0.0, 1.0, 0.01)
+    want = ref.integrate_rk4(f, state0, 0.0, 1.0, 0.01)
+    assert got.meta == want.meta
+    for key in ("times", "states", "slopes"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+
+
+@pytest.mark.parametrize("name, f, state0", CATALOG_FIELDS, ids=[c[0] for c in CATALOG_FIELDS])
+@pytest.mark.parametrize("rtol, atol", [(1e-8, 1e-10), (1e-10, 1e-12)])
+def test_rk45_matches_the_numpy_loop(name, f, state0, rtol, atol):
+    # the stage and error sums run in another order than numpy's, so they
+    # differ by rounding; the first step is taken with the same h and
+    # agrees to rounding, and after it the step control passes the
+    # difference on: the error estimate is a sum that cancels to about rtol
+    # of the state, so its relative rounding is up to eps / rtol, and every
+    # later h inherits a fifth of that
+    got = integrate_rk45(f, state0, 0.0, 2.0, rtol, atol)
+    want = ref.integrate_rk45(f, state0, 0.0, 2.0, rtol, atol)
+    assert got.meta == want.meta and len(got) == len(want)
+    assert got.times[1] == want.times[1]
+    assert np.allclose(got.states[1], want.states[1], rtol=1e-12, atol=1e-12)
+    tol = np.finfo(float).eps / rtol
+    assert np.allclose(got.times, want.times, rtol=tol, atol=0.0)
+    for key in ("states", "slopes"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert np.all(np.abs(a - b) <= tol * np.maximum(np.abs(b), 1.0)), key
+
+
+def test_rk45_rejects_a_step_whose_last_stage_is_nan():
+    # NaN in the second component of the first step's seventh stage only,
+    # the first-same-as-last stage that no stage point of the step reads:
+    # the error norm alone must turn non-finite and reject the step
+    def field():
+        calls = 0
+
+        def f(s):
+            nonlocal calls
+            calls += 1
+            return np.array([s[1], math.nan if calls == 7 else -s[0]])
+
+        return f
+
+    got = integrate_rk45(field(), [1.0, 0.0], 0.0, 1.0)
+    want = ref.integrate_rk45(field(), [1.0, 0.0], 0.0, 1.0)
+    assert got.times[1] == want.times[1] < 0.01
+    assert np.all(np.isfinite(got.states)) and len(got) == len(want)
+
+
+def test_array_fields_are_called_on_arrays():
+    seen = []
+
+    def f(s):
+        seen.append(type(s))
+        return [s[1], -s[0]]
+
+    integrate_rk4(f, [1.0, 0.0], 0.0, 0.35, 0.1)
+    integrate_rk45(f, [1.0, 0.0], 0.0, 1.0)
+    assert set(seen) == {np.ndarray}
+
+
+def test_rk45_rejects_a_zero_error_scale_as_the_numpy_loop_does():
+    # atol = 0 on a component that stays 0: every error norm divides by 0
+    def f(s):
+        return np.array([-s[0], 0.0 * s[1]])
+
+    for integrate in (integrate_rk45, ref.integrate_rk45):
+        with pytest.raises(StepUnderflow):
+            integrate(f, [1.0, 0.0], 0.0, 1.0, atol=0.0)

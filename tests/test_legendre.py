@@ -19,7 +19,7 @@ from affgebroid.legendre import (
     leg,
     leg_inverse,
 )
-from affgebroid.model import APoint
+from affgebroid.model import APoint, VStarPoint
 
 PAIRED = [oscillator, rigid_body, twisted_line]
 
@@ -158,13 +158,16 @@ def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch)
     # else evaluates L
     calls = Counter()
     _count_calls(monkeypatch, ent.lag.lagrangian, calls)
-    evaluate = LagrangianSystem.evaluate
+    kernel = LagrangianSystem.kernel
 
-    def counted(self, kind, x, y):
-        calls[kind] += 1
-        return evaluate(self, kind, x, y)
+    def counted(self, kind):
+        def call(*args, _kernel=kernel(self, kind)):
+            calls[kind] += 1
+            return _kernel(*args)
 
-    monkeypatch.setattr(LagrangianSystem, "evaluate", counted)
+        return call
+
+    monkeypatch.setattr(LagrangianSystem, "kernel", counted)
     for v in sample_v(ent, 5, seed=14):
         v.p *= 3.0
         for method in ("value", "fibre_hessian"):
@@ -206,6 +209,22 @@ def test_flow_commutation(maker):
     rng = np.random.default_rng(10)
     a0 = ent.model.chart.sample_a(rng)
     assert flow_commutation_check(ham, a0, 1.0, 1e-3) < 1e-5
+
+
+def test_newton_rejects_a_trial_with_a_nan_residual():
+    # exp(-(1e153 y2)^2) is 0 away from y2 = 0, but its y2-derivative is
+    # 0 * inf = NaN where 1e153 * (1e153 y2) overflows, past |y2| ~ 90.  The
+    # full Newton step from y2 = 0.5 lands at y2 ~ 571 with dL/dy1 already
+    # matched, so the residual there is (0, NaN): its norm must be NaN, not
+    # 0, and the damping walks back to y2 ~ 9.4 and on to y2 + y2^3 = 1000
+    ent = twisted_line()
+    src = "0.5*y1^2 + 0.5*y2^2 + 0.25*y2^4 + exp(-(1e153*y2)*(1e153*y2))"
+    lag = LagrangianSystem(ent.model, src)
+    v = VStarPoint([0.7], [0.0, 1000.0])
+    a = leg_inverse(lag, v, guess=[0.0, 0.5])
+    y2 = a.y[1]
+    assert a.y[0] == 0.0 and abs(y2 + y2**3 - 1000.0) < 1e-9
+    assert np.max(np.abs(lag.legendre_data(a.x, a.y)[1] - v.p)) <= 1e-12
 
 
 def test_newton_divergence_on_degenerate_hamiltonian():
