@@ -69,6 +69,9 @@ def _constants_tensor(c, r):
     return cc
 
 
+_JACOBI_TOL = 1e-9
+
+
 def jacobi_residual(cc):
     """Max-abs residual of the constant Jacobi identity for a bracket tensor."""
     cc = np.asarray(cc, float)
@@ -86,10 +89,10 @@ class AtiyahSpec:
     base_names lists the base coordinates with time first, so there are
     len(base_names) - 1 spatial directions.  c holds the algebra constants
     (dict or full tensor, see _constants_tensor); the Jacobi identity is
-    checked here, scaled by the cube of the largest entry.  k0 gives the r
-    connection coefficients along the time direction and k one row of r per
-    spatial direction, as expression strings or fields over the base.  The
-    three boxes go to the adapted chart, as in Chart.
+    checked here to _JACOBI_TOL times the cube of the largest entry.  k0
+    gives the r connection coefficients along the time direction and k one
+    row of r per spatial direction, as expression strings or fields over
+    the base.  The three boxes go to the adapted chart, as in Chart.
     """
 
     __slots__ = ("base_names", "algebra_dim", "c", "k0", "k", "chart")
@@ -104,7 +107,6 @@ class AtiyahSpec:
         base_box=None,
         fibre_box=None,
         dual_box=None,
-        jacobi_tol=1e-9,
     ):
         self.base_names = tuple(base_names)
         r = int(algebra_dim)
@@ -114,7 +116,7 @@ class AtiyahSpec:
         self.c = _constants_tensor(c, r)
         scale = max(1.0, float(np.abs(self.c).max())) ** 3
         res = jacobi_residual(self.c)
-        if res > jacobi_tol * scale:
+        if res > _JACOBI_TOL * scale:
             raise JacobiViolation(
                 "structure constants break the Jacobi identity, residual %.3e" % res
             )

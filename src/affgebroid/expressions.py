@@ -540,11 +540,6 @@ def tree_call(fn, a):
     return Call(fn, a) if folded is None else folded
 
 
-def tree_product(a, b):
-    """a*b."""
-    return tree_op("*", a, b)
-
-
 def tree_sum(terms):
     """Left-to-right sum of the trees in terms; the literal 0 for none."""
     out = Num(0.0)

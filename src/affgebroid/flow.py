@@ -169,12 +169,12 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
                 # the last row of the tableau is the fifth-order weights, so
                 # the seventh stage point y is the fifth-order solution; a
                 # non-finite stage makes err non-finite (e*e, unlike e**2,
-                # overflows to inf rather than raising), and so does a zero
-                # scale, atol = 0 at a zero component, as e / 0 did in numpy
+                # overflows to inf rather than raising), and so does a
+                # nonzero error over a zero scale; an error 0 counts 0
                 try:
                     scaled = [
-                        h * e / (atol + rtol * max(abs(s), abs(v)))
-                        for e, s, v in zip(_combine(_DP_E, k), state, y)
+                        d and d / (atol + rtol * max(abs(s), abs(v)))
+                        for d, s, v in zip([h * e for e in _combine(_DP_E, k)], state, y)
                     ]
                     err = sqrt(sum([e * e for e in scaled]) / len(scaled))
                 except ZeroDivisionError:

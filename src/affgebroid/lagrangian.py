@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SingularLagrangian
 from .expressions import Var, compile_trees, float_args, parse, tree_negate
-from .expressions import tree_product, tree_sum
+from .expressions import tree_op, tree_sum
 from .flow import rate_field
 from .model import motion_trees
 
@@ -85,7 +85,7 @@ class _EnergySystem:
         dhdx = [tree_negate(d.ast) for d in grad[:m]]
         motion = motion_trees(model.structure_trees(), dhdx, y, dldy)
         vel, rhs = motion[:m], motion[m : m + n]
-        drift = [tree_sum(tree_product(vel[i], d2xy[i][a]) for i in range(m)) for a in range(n)]
+        drift = [tree_sum(tree_op("*", vel[i], d2xy[i][a]) for i in range(m)) for a in range(n)]
         r = [tree_sum([rhs[a], tree_negate(drift[a])]) for a in range(n)]
         return compile_trees(vel + r + w_flat + rhs, f.variables, steps)
 

@@ -34,14 +34,12 @@ def _newton(sys, x, target, z0, params):
     """Damped Newton on the fibre for dE/dz(x, z) = target, with E the
     energy function of sys, L or a parsed H, started at z0 (None: the fibre
     origin): full step, halved while the residual norm grows.  The steps
-    solve with the fibre Hessian under the regularity rule.  Runs on lists
-    of floats over the "legendre" kernel of sys; returns z as a list and
-    the kernel output at z, (E, dE/dz, W row-major) as one flat tuple."""
-    names = sys._energy.variables
+    solve with the fibre Hessian under the regularity rule.  Takes and runs
+    on lists of floats over the "legendre" kernel of sys; returns z as a list
+    and the kernel output at z, (E, dE/dz, W row-major) as one flat tuple."""
     n = sys.model.chart.fibre_dim
     params = params or NewtonParams()
     kernel = sys.kernel("legendre")
-    x, target = float_args(x, names[:-n]), float_args(target, names[-n:])
 
     def at(z):
         out = kernel(*x, *z)
@@ -50,7 +48,7 @@ def _newton(sys, x, target, z0, params):
         # alone drops a NaN that is not first: max(1.0, nan) == 1.0
         return out, res, nan if any(map(isnan, res)) else max(map(abs, res))
 
-    z = [0.0] * n if z0 is None else float_args(z0, names[-n:])
+    z = [0.0] * n if z0 is None else z0
     out, res, norm = at(z)
     for _ in range(params.max_iter):
         if norm <= params.tol:
@@ -75,6 +73,13 @@ def _newton(sys, x, target, z0, params):
     )
 
 
+def _floats(sys, x, *fibre):
+    # x and fibre vectors (None stays None) as the float lists _newton takes
+    names, n = sys._energy.variables, sys.model.chart.fibre_dim
+    x = float_args(x, names[:-n])
+    return [x] + [v if v is None else float_args(v, names[-n:]) for v in fibre]
+
+
 def leg(sys, a):
     """Fibre derivative of L: (x, y) -> (x, dL/dy)."""
     return VStarPoint(a.x, sys.legendre_data(a.x, a.y)[1])
@@ -86,7 +91,7 @@ def leg_inverse(sys, v, guess=None, params=None):
     guess seeds the iteration (default: fibre origin).  Requires a regular
     Lagrangian along the path; raises SingularLagrangian or NewtonDivergence.
     """
-    return APoint(v.x, _newton(sys, v.x, v.p, guess, params)[0])
+    return APoint(v.x, _newton(sys, *_floats(sys, v.x, v.p, guess), params)[0])
 
 
 class InducedHamiltonian:
@@ -107,13 +112,13 @@ class InducedHamiltonian:
 
     def _match(self, x, p):
         # the velocity y with dL/dy(x, y) = p, started at the last one, and
-        # the "legendre" kernel output of L there
+        # the "legendre" kernel output of L there; x and p are float lists
         y, out = _newton(self.lag, x, p, self._warm, self.params)
         self._warm = y
         return y, out
 
     def value(self, x, p):
-        y, out = self._match(x, p)
+        y, out = self._match(*_floats(self.lag, x, p))
         return float(np.asarray(p, float) @ y) - out[0]
 
     def _grad(self, x, p):
@@ -123,12 +128,12 @@ class InducedHamiltonian:
         return [-d for d in dl[1 : 1 + len(x)]], y
 
     def grad(self, x, p):
-        return tuple(map(np.array, self._grad(float_args(x, self.model.chart.base_names), p)))
+        return tuple(map(np.array, self._grad(*_floats(self.lag, x, p))))
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
         regularity rule of the fibre solves."""
-        y, out = self._match(x, p)
+        y, out = self._match(*_floats(self.lag, x, p))
         w = out[1 + len(y) :]
         return np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
 
@@ -136,9 +141,12 @@ class InducedHamiltonian:
         """As HamiltonianSystem.motion, from the same trees with the
         structure values, dH/dx and dH/dp as free variables: the structure
         is evaluated first, then the Newton solve runs."""
+        chart = self.model.chart
+        return self._motion(float_args(state, chart.base_names + chart.dual_names))
+
+    def _motion(self, state):
         model = self.model
         m, n = model.chart.dim_base, model.chart.fibre_dim
-        state = float_args(state, model.chart.base_names + model.chart.dual_names)
         x, p = state[:m], state[m:]
         values = model.structure_values(x)
         dhdx, dhdp = self._grad(x, p)
@@ -153,7 +161,7 @@ class InducedHamiltonian:
 
     def rate(self, state):
         """xdot and pdot at the state, a list of floats (x, p)."""
-        return self.motion(state)[: len(state)]
+        return self._motion(state)[: len(state)]
 
 
 def l_from_h(sys, a, section=None, guess=None, params=None):
@@ -173,7 +181,7 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
     n = sys.model.chart.fibre_dim
     section = np.zeros(n) if section is None else np.asarray(section, dtype=float)
     try:
-        p, out = _newton(sys, a.x, a.y, guess, params)
+        p, out = _newton(sys, *_floats(sys, a.x, a.y, guess), params)
     except SingularLagrangian:
         raise NewtonDivergence("momentum Hessian singular") from None
     p = np.array(p)

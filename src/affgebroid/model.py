@@ -6,9 +6,16 @@ anchors rho_0, rho_alpha over the base, and bracket coefficients C_0a^g,
 C_ab^g.  The distinguished index 0 refers to the affine reference direction
 e_0; its bracket target component is structurally zero (C_I J^0 = 0), which
 the storage layout enforces rather than checks.
+
+The structure has one layout, the flat order of structure_values: rho0,
+rho, c0, then c with both halves (C_ba^g = -C_ab^g, zero diagonal), each
+row-major.  structure_grad_values gives the m partials of each of those
+entries in turn.  One splitter turns either into StructureValues arrays,
+and validate_structure alone lays them out over the indices 0..n.
 """
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -18,10 +25,11 @@ from .expressions import (
     Var,
     bind_row,
     compile_trees,
+    constant_field,
     float_args,
     literal_value,
     tree_negate,
-    tree_product,
+    tree_op,
     tree_sum,
 )
 
@@ -160,7 +168,7 @@ class PhasePoint(_Point):
 
 @dataclass
 class StructureValues:
-    """Structure functions evaluated at one base point."""
+    """Structure functions, or their gradients, at one base point."""
 
     rho0: np.ndarray  # (m,)
     rho: np.ndarray   # (n, m), row a = anchor of e_a
@@ -200,136 +208,103 @@ class AffgebroidModel:
                     "c keys must be pairs (a, b) with 1 <= a < b <= %d, got %r" % (n, (a, b))
                 )
             self.c[(a, b)] = bind_row(row, n, names, "c[%r]" % (key,))
-        self._const = all(f.is_constant() for f, _ in self._slots())
+        self._const = all(f.is_constant() for f in self._fields())
         self._cache = None
-        # compiled on first use by structure_at and structure_grad_at
+        # compiled on first use by structure_values and structure_grad_values
         self._values_kernel = None
         self._grad_kernel = None
 
-    def _slots(self):
-        """Every structure field with its place in the full arrays: (I, j)
-        for the anchor rho_I^j, (I, J, K) for the bracket C_IJ^K (whose
-        (J, I, K) entry is its negation)."""
-        for j, f in enumerate(self.rho0):
-            yield f, (0, j)
-        for a, row in enumerate(self.rho):
-            for j, f in enumerate(row):
-                yield f, (1 + a, j)
-        for a, row in enumerate(self.c0):
-            for g, f in enumerate(row):
-                yield f, (0, 1 + a, 1 + g)
+    def _fields(self):
+        # every structure field in declaration order: rho0, rho, c0, then c
+        return (f for row in (self.rho0, *self.rho, *self.c0, *self.c.values()) for f in row)
+
+    def _flat_trees(self, read=lambda f: [f.ast]):
+        # the trees read(f) gives for each entry of the flat layout, in turn:
+        # C_ab^g for a > b reads C_ba^g negated, and the diagonal and the
+        # pairs not given read the constant 0
+        n = self.chart.fibre_dim
+        zero = read(constant_field(0.0, self.chart.base_names))
+        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (a, b), row in self.c.items():
             for g, f in enumerate(row):
-                yield f, (a, b, 1 + g)
+                c[a - 1][b - 1][g] = read(f)
+                c[b - 1][a - 1][g] = [Neg(t) for t in c[a - 1][b - 1][g]]
+        rows = [[read(f) for f in row] for row in (self.rho0, *self.rho, *self.c0)]
+        return [t for row in rows + [r for plane in c for r in plane] for e in row for t in e]
 
     @property
     def is_constant_structure(self):
         return self._const
 
+    def _split(self, flat, tail=()):
+        # StructureValues of an array whose last axis runs over the flat
+        # layout, each entry spread over the trailing axes `tail` (the m
+        # partials of a gradient); the axes before it are kept
+        m, n = self.chart.dim_base, self.chart.fibre_dim
+        k, lead = prod(tail), flat.shape[:-1]
+        a, b, c = k * m, k * (n + 1) * m, k * ((n + 1) * m + n * n)
+        parts = flat[..., :a], flat[..., a:b], flat[..., b:c], flat[..., c:]
+        shapes = (m,), (n, m), (n, n), (n, n, n)
+        return StructureValues(*[p.reshape(lead + s + tail) for p, s in zip(parts, shapes)])
+
     def structure_at(self, x):
         if self._const and self._cache is not None:
             return self._cache
-        m, n = self.chart.dim_base, self.chart.fibre_dim
-        # one flat array in the order rho0, rho, c0, c, each row-major
-        vals = np.array(self.structure_values(x))
-        anchor = vals[: (n + 1) * m].reshape(n + 1, m)
-        rho0, rho = anchor[0], anchor[1:]
-        c0 = vals[(n + 1) * m : (n + 1) * m + n * n].reshape(n, n)
-        c = vals[(n + 1) * m + n * n :].reshape(n, n, n)
-        out = StructureValues(rho0, rho, c0, c)
+        out = self._split(np.array(self.structure_values(x)))
         if self._const:
             # every later call hands out these arrays, so nobody may write them
-            for arr in (rho0, rho, c0, c):
+            for arr in (out.rho0, out.rho, out.c0, out.c):
                 arr.flags.writeable = False
             self._cache = out
         return out
 
-    def _flat_trees(self):
-        # rho0, rho, c0, c, each row-major; C_ab^g for a > b is the negation
-        # of C_ba^g and the diagonal is zero
-        n = self.chart.fibre_dim
-        c = [[[Num(0.0)] * n for _ in range(n)] for _ in range(n)]
-        for (a, b), row in self.c.items():
-            for g, f in enumerate(row):
-                c[a - 1][b - 1][g] = f.ast
-                c[b - 1][a - 1][g] = Neg(f.ast)
-        flat = [f.ast for f in self.rho0]
-        flat += [f.ast for rows in (self.rho, self.c0) for row in rows for f in row]
-        return flat + [t for plane in c for row in plane for t in row]
+    def structure_grad_at(self, x):
+        """d/dx of the structure at x, StructureValues with a trailing axis
+        i over the base: rho0 (m, m), rho (n, m, m), c0 (n, n, m) and
+        c (n, n, n, m), [..., i] the partial by x^i."""
+        return self._split(np.array(self.structure_grad_values(x)), (self.chart.dim_base,))
 
     def structure_steps(self):
         """The checked steps every evaluation of the structure runs first:
-        each field's value, in slot order."""
-        return [(f.ast, True) for f, _ in self._slots()]
+        each field's value, in declaration order."""
+        return [(f.ast, True) for f in self._fields()]
 
     def structure_trees(self, free=False):
         """The structure functions as trees, in the layout of StructureValues
         with nested lists for arrays.  With free=True, every tree that is not
         a literal becomes the variable "s<k>", k its position in the flat
         tuple structure_values returns."""
-        m, n = self.chart.dim_base, self.chart.fibre_dim
         flat = self._flat_trees()
         if free:
             flat = [t if literal_value(t) is not None else Var("s%d" % k) for k, t in enumerate(flat)]
-        it = iter(flat)
-
-        def take(*shape):
-            if len(shape) == 1:
-                return [next(it) for _ in range(shape[0])]
-            return [take(*shape[1:]) for _ in range(shape[0])]
-
-        return StructureValues(take(m), take(n, m), take(n, n), take(n, n, n))
+        s = self._split(np.fromiter(flat, dtype=object, count=len(flat)))
+        return StructureValues(s.rho0.tolist(), s.rho.tolist(), s.c0.tolist(), s.c.tolist())
 
     def structure_values(self, x):
-        """The structure values at x as one flat tuple of floats, in the
-        order of structure_trees(free=True)."""
+        """The structure values at x as one flat tuple of floats, the flat
+        layout: rho0, rho, c0, then c with both halves, each row-major."""
         if self._values_kernel is None:
             names, steps = self.chart.base_names, self.structure_steps()
             self._values_kernel = compile_trees(self._flat_trees(), names, steps)
         return self._values_kernel(*float_args(x, self.chart.base_names))
 
-    def structure_grad_at(self, x):
-        """d/dx of the full anchor and bracket arrays: (n+1, m, m) indexed
-        [I, j, i] = d rho_I^j / d x^i, and (n+1, n+1, n+1, m)."""
-        m, n = self.chart.dim_base, self.chart.fibre_dim
-        rg = np.zeros((n + 1, m, m))
-        cg = np.zeros((n + 1, n + 1, n + 1, m))
-        if self._const:
-            return rg, cg
-        if self._grad_kernel is None:
-            self._grad_kernel = self._compile_grads()
-        kernel, anchor_at, upper, lower = self._grad_kernel
-        grads = np.array(kernel(*float_args(x, self.chart.base_names)))
-        k = len(anchor_at)
-        rg.put(anchor_at, grads[:k])
-        cg.put(upper, grads[k:])
-        cg.put(lower, -grads[k:])
-        return rg, cg
-
-    def _compile_grads(self):
-        # the steps follow value_grad per base-dependent field: its checked
-        # value, then its partials.  The outputs are the anchor partials,
-        # then the bracket ones, each with its flat position in rg or cg (and
-        # in cg of its negation).  Constant fields have zero gradients.
-        m, n = self.chart.dim_base, self.chart.fibre_dim
+    def structure_grad_values(self, x):
+        """d/dx of structure_values at x as one flat tuple of floats: the m
+        partials of each entry of the flat layout in turn."""
         names = self.chart.base_names
-        rg_shape, cg_shape = (n + 1, m, m), (n + 1, n + 1, n + 1, m)
-        steps, anchor, bracket, anchor_at, upper, lower = [], [], [], [], [], []
-        for f, slot in self._slots():
-            if f.is_constant():
-                continue
-            partials = [f._partial(i).ast for i in range(len(names))]
-            steps += [(f.ast, True)] + [(d, False) for d in partials]
-            for i, d in enumerate(partials):
-                if len(slot) == 2:
-                    anchor.append(d)
-                    anchor_at.append(np.ravel_multi_index(slot + (i,), rg_shape))
-                else:
-                    bracket.append(d)
-                    upper.append(np.ravel_multi_index(slot + (i,), cg_shape))
-                    lower.append(np.ravel_multi_index((slot[1], slot[0], slot[2], i), cg_shape))
-        positions = (np.array(at, dtype=int) for at in (anchor_at, upper, lower))
-        return (compile_trees(anchor + bracket, names, steps), *positions)
+        if self._grad_kernel is None:
+            # per base-dependent field in declaration order, its checked value
+            # then its partials, as value_grad runs them; a constant field's
+            # partials are zeros, as d/dx of a constant like 1/0 may raise
+            def partials(f):
+                return [Num(0.0) if f.is_constant() else f._partial(i).ast for i in range(len(names))]
+
+            steps = []
+            for f in self._fields():
+                if not f.is_constant():
+                    steps += [(f.ast, True)] + [(d, False) for d in partials(f)]
+            self._grad_kernel = compile_trees(self._flat_trees(partials), names, steps)
+        return self._grad_kernel(*float_args(x, names))
 
 
 def motion_trees(s, dhdx, dhdp, p):
@@ -341,15 +316,15 @@ def motion_trees(s, dhdx, dhdp, p):
     pdot is rho_a^i dL/dx^i + (C_0a^g + C_ba^g y^b) dL/dy^g."""
     m, n = len(dhdx), len(dhdp)
     xdot = [
-        tree_sum([s.rho0[i], tree_sum(tree_product(dhdp[a], s.rho[a][i]) for a in range(n))])
+        tree_sum([s.rho0[i], tree_sum(tree_op("*", dhdp[a], s.rho[a][i]) for a in range(n))])
         for i in range(m)
     ]
     pdot = [
         tree_sum([
-            tree_negate(tree_sum(tree_product(s.rho[a][i], dhdx[i]) for i in range(m))),
-            tree_sum(tree_product(s.c0[a][g], p[g]) for g in range(n)),
+            tree_negate(tree_sum(tree_op("*", s.rho[a][i], dhdx[i]) for i in range(m))),
+            tree_sum(tree_op("*", s.c0[a][g], p[g]) for g in range(n)),
             tree_sum(
-                tree_product(tree_product(s.c[b][a][g], dhdp[b]), p[g])
+                tree_op("*", tree_op("*", s.c[b][a][g], dhdp[b]), p[g])
                 for b in range(n)
                 for g in range(n)
             ),
@@ -362,9 +337,7 @@ def motion_trees(s, dhdx, dhdp, p):
 def from_lie_algebroid(chart, rho, c):
     """Wrap plain Lie algebroid data (anchors rho_a, bracket c) as a model
     with the reference direction central and anchorless: rho_0 = 0, C_0a = 0."""
-    m = chart.dim_base
-    zeros = ["0"] * m
-    return AffgebroidModel(chart, zeros, rho, c0=None, c=c)
+    return AffgebroidModel(chart, ["0"] * chart.dim_base, rho, c=c)
 
 
 @dataclass
@@ -404,6 +377,18 @@ class ValidationReport:
 _BLOCK = 32
 
 
+def _embed(s):
+    # rho_I^j (k, n+1, m, ...) and C_IJ^K (k, n+1, n+1, n+1, ...), slot 0 being
+    # e_0, from StructureValues with a leading block axis k and trailing axes
+    k, n = s.c0.shape[:2]
+    rho = np.concatenate([s.rho0[:, None], s.rho], axis=1)
+    c = np.zeros((k, n + 1, n + 1, n + 1) + s.c0.shape[3:])
+    c[:, 0, 1:, 1:] = s.c0
+    c[:, 1:, 0, 1:] = -s.c0
+    c[:, 1:, 1:, 1:] = s.c
+    return rho, c
+
+
 def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
     """Check anchor compatibility and the Jacobi identity at sample points.
 
@@ -413,6 +398,8 @@ def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
         sum over cyclic (I,J,K) of [rho_I^i d(C_JK^L)/dx^i + C_IM^L C_JK^M]
     Both are antisymmetric in their lower indices, so the max over all index
     tuples is the max over I < J (< K).  A non-finite residual fails.
+    The flat values and gradients of the structure are read once per point
+    and split once per block of _BLOCK points.
     """
     if sample_points is None:
         rng = np.random.default_rng(seed)
@@ -420,20 +407,13 @@ def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
     points = [np.asarray(x, dtype=float) for x in sample_points]
     if not points:
         raise ValueError("structure validation needs at least one sample point")
-    n = model.chart.fibre_dim
     anchor, jacobi = [], []
     for start in range(0, len(points), _BLOCK):
         block = points[start : start + _BLOCK]
-        # the anchor and bracket over the indices 0..n, slot 0 = e_0
-        values = [model.structure_at(x) for x in block]
-        rho = np.stack([np.vstack([s.rho0, s.rho]) for s in values])  # (k, N, m), N = n + 1
-        cf = np.zeros((len(block), n + 1, n + 1, n + 1))              # (k, N, N, N)
-        cf[:, 0, 1:, 1:] = [s.c0 for s in values]
-        cf[:, 1:, 0, 1:] = -cf[:, 0, 1:, 1:]
-        cf[:, 1:, 1:, 1:] = [s.c for s in values]
-        grads = [model.structure_grad_at(x) for x in block]
-        rg = np.stack([g[0] for g in grads])                      # (k, N, m, m)
-        cg = np.stack([g[1] for g in grads])                      # (k, N, N, N, m)
+        values = np.array([model.structure_values(x) for x in block])
+        grads = np.array([model.structure_grad_values(x) for x in block])
+        rho, cf = _embed(model._split(values))  # (k, N, m), (k, N, N, N); N = n + 1
+        rg, cg = _embed(model._split(grads, (model.chart.dim_base,)))  # (k, N, m, m), (k, N, N, N, m)
         res = (
             np.einsum("kIi,kJji->kIJj", rho, rg)
             - np.einsum("kJi,kIji->kIJj", rho, rg)

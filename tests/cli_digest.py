@@ -3,9 +3,10 @@ the package byte for byte.
 
     PYTHONPATH=src python tests/cli_digest.py [CONFIG ...]
 
-Runs check, validate, legendre and simulate (both modes) through
-affgebroid.cli.main in this process on each config, by default every
-configs/*.json, tests/fixtures/*.json and bench/broken_*.json, and prints
+Runs check, validate, legendre and simulate (both modes), and atiyah-expand
+on configs with an "atiyah" section, through affgebroid.cli.main in this
+process on each config, by default every configs/*.json,
+tests/fixtures/*.json and bench/broken_*.json, and prints
 one JSON line per operation: the argv (config paths relative to the repo
 root, the CSV path as OUT), the exit code, and the sha256 of stdout and
 stderr (with both paths shown the same way) and of the written file
@@ -58,6 +59,13 @@ def _record(argv, path, shown, out):
     }
 
 
+def _is_atiyah(path):
+    try:
+        return "atiyah" in json.loads(Path(path).read_text())
+    except (OSError, ValueError):
+        return False
+
+
 def digest(configs):
     """One record per operation on each config path, in order."""
     records = []
@@ -69,6 +77,8 @@ def digest(configs):
             ops = [["check", path], ["validate", path], ["legendre", path]]
             ops += [["simulate", path, "--mode", mode, "--out", out]
                     for mode in ("lagrangian", "hamiltonian")]
+            if _is_atiyah(path):
+                ops.append(["atiyah-expand", path, "--out", out])
             records += [_record(argv, path, shown, out) for argv in ops]
     return records
 

@@ -113,10 +113,14 @@ def integrate_rk45(f, state0, t0, t1, rtol=1e-8, atol=1e-10):
                 h *= 0.2
                 continue
             # the last row of the tableau is the fifth-order weights, so the
-            # seventh stage point y is the fifth-order solution
+            # seventh stage point y is the fifth-order solution; an error of
+            # exactly 0 counts 0 even over a zero scale, any other error
+            # over a zero scale makes err inf or NaN
             err_vec = h * (_DP_E @ k)
             scale = atol + rtol * np.maximum(np.abs(state), np.abs(y))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            with np.errstate(divide="ignore"):
+                scaled = np.divide(err_vec, scale, out=np.zeros_like(err_vec), where=err_vec != 0)
+            err = float(np.sqrt(np.mean(scaled ** 2)))
             if not np.isfinite(err):
                 h *= 0.2
                 continue

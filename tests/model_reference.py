@@ -1,10 +1,11 @@
 """Reads of a model and of its fields that the package does not need, kept
 for the tests as references independent of the compiled kernels.
 
-c_value reads one bracket coefficient from its own field; full_arrays lays
-the structure values at a point out over the indices 0..n, slot 0 being the
-reference direction e_0; fd_grad and fd_hess are central finite differences
-of a field, the independent check on its symbolic derivatives.
+c_value reads one bracket coefficient from its own field; embed lays
+structure values or gradients at a point out over the indices 0..n, slot 0
+being the reference direction e_0, and full_arrays does so for the values;
+fd_grad and fd_hess are central finite differences of a field, the
+independent check on its symbolic derivatives.
 """
 
 import numpy as np
@@ -23,16 +24,22 @@ def c_value(model, a, b, g, x):
     return -(model.c[(b, a)][g - 1].eval(x)) if (b, a) in model.c else 0.0
 
 
-def full_arrays(model, x):
-    """The anchor rho_I^j, shape (n+1, m), and the bracket C_IJ^K, shape
-    (n+1, n+1, n+1), at x."""
-    n = model.chart.fibre_dim
-    s = model.structure_at(x)
-    c = np.zeros((n + 1, n + 1, n + 1))
+def embed(s):
+    """StructureValues at one point, with any trailing axes, laid out over
+    the indices 0..n, slot 0 being e_0: the anchor rho_I^j, shape
+    (n+1, m, ...), and the bracket C_IJ^K, shape (n+1, n+1, n+1, ...)."""
+    n = s.c0.shape[0]
+    c = np.zeros((n + 1, n + 1, n + 1) + s.c0.shape[2:])
     c[0, 1:, 1:] = s.c0
     c[1:, 0, 1:] = -s.c0
     c[1:, 1:, 1:] = s.c
-    return np.vstack([s.rho0[None, :], s.rho]), c
+    return np.concatenate([s.rho0[None], s.rho]), c
+
+
+def full_arrays(model, x):
+    """The anchor rho_I^j, shape (n+1, m), and the bracket C_IJ^K, shape
+    (n+1, n+1, n+1), at x."""
+    return embed(model.structure_at(x))
 
 
 def _shifted(base, *moves):

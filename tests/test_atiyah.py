@@ -105,7 +105,7 @@ def test_reduced_bracket_sources_fold_clean():
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["so3", "heisenberg", "sl2", "abelian"]))
 def test_reduced_structure_trees_are_fixed_points_of_the_builder(seed, algebra):
     model = reduce(random_spec(np.random.default_rng(seed), m=2, algebra=algebra))
-    for f, _ in model._slots():
+    for f in model._fields():
         assert rebuild(f.ast) == f.ast, f.source
 
 

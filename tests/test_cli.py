@@ -319,7 +319,7 @@ def test_load_config_compiles_nothing():
         bundle = load_config(cfg)
         model = bundle.model
         assert model._values_kernel is None and model._grad_kernel is None
-        fields = [f for f, _ in model._slots()]
+        fields = list(model._fields())
         fields += [bundle.lag_sys.lagrangian, bundle.ham_sys.hamiltonian]
         assert all(f._kernels == {} for f in fields)
         # nor the fused field kernels of the two systems
@@ -825,3 +825,14 @@ def test_cli_digest_fingerprints_each_command(capsys):
     # a second run reproduces every fingerprint and the configs are only read
     assert cli_digest.digest([OSC]) == records
     assert sorted(CONFIGS.iterdir()) == before
+
+
+def test_cli_digest_expands_atiyah_configs():
+    import cli_digest
+
+    records = cli_digest.digest([MAGNETIC])
+    assert [r["argv"][0] for r in records] == [
+        "check", "validate", "legendre", "simulate", "simulate", "atiyah-expand"
+    ]
+    assert records[-1]["argv"] == ["atiyah-expand", "configs/atiyah_magnetic.json", "--out", "OUT"]
+    assert records[-1]["exit"] == 0 and len(records[-1]["file"]) == 64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flow_reference as ref
-from affgebroid.catalog import all_entries
+from affgebroid.catalog import all_entries, rigid_body
 from affgebroid.errors import NonFiniteState, StepUnderflow
 from affgebroid.flow import integrate_rk4, integrate_rk45, time_derivative
 from affgebroid.hamiltonian import hamilton_vector_field
@@ -246,11 +246,20 @@ def test_array_fields_are_called_on_arrays():
     assert set(seen) == {np.ndarray}
 
 
-def test_rk45_rejects_a_zero_error_scale_as_the_numpy_loop_does():
-    # atol = 0 on a component that stays 0: every error norm divides by 0
-    def f(s):
+def test_rk45_integrates_a_component_that_stays_zero_at_atol_0():
+    # atol = 0 on a component that is 0 and stays 0: its error is exactly 0
+    # over a zero scale and counts 0, so the step control runs on the rest
+    def decay(s):
         return np.array([-s[0], 0.0 * s[1]])
 
-    for integrate in (integrate_rk45, ref.integrate_rk45):
-        with pytest.raises(StepUnderflow):
-            integrate(f, [1.0, 0.0], 0.0, 1.0, atol=0.0)
+    rigid = hamilton_vector_field(rigid_body().ham)
+    for f, state0 in ((decay, [1.0, 0.0]), (rigid, [0.0, 1.0, 0.0, 0.0])):
+        got = integrate_rk45(f, state0, 0.0, 1.0, atol=0.0)
+        want = ref.integrate_rk45(f, state0, 0.0, 1.0, atol=0.0)
+        assert got.times[-1] == 1.0 and got.meta == want.meta and len(got) == len(want)
+        tol = np.finfo(float).eps / 1e-8
+        assert np.allclose(got.times, want.times, rtol=tol, atol=0.0)
+        assert np.all(np.abs(got.states - want.states) <= tol * np.maximum(np.abs(want.states), 1.0))
+    got = integrate_rk45(decay, [1.0, 0.0], 0.0, 1.0, atol=0.0)
+    assert np.all(got.states[:, 1] == 0.0)
+    assert np.allclose(got.states[:, 0], np.exp(-got.times), rtol=1e-7, atol=0.0)

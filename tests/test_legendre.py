@@ -96,6 +96,31 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
     assert h == float(v.p @ cold.y) - ent.lag.derivs(cold.x, cold.y)[0]
 
 
+@pytest.mark.parametrize("maker", [rigid_body, twisted_line])
+def test_induced_rate_converts_its_state_once(maker, monkeypatch):
+    # rate runs on the integrator's float list, so only structure_values
+    # converts x; motion converts the state once more on entry
+    from affgebroid import expressions, flow, hamiltonian, lagrangian, legendre, model
+
+    ham = InducedHamiltonian(maker().lag)
+    v = sample_v(maker(), 1, seed=4)[0]
+    state = np.concatenate([v.x, v.p]).tolist()
+    ham.rate(state)  # compiles the kernels and warms the Newton start
+    calls = []
+
+    def counted(values, variables, real=expressions.float_args):
+        calls.append(variables)
+        return real(values, variables)
+
+    for mod in (expressions, flow, hamiltonian, lagrangian, legendre, model):
+        monkeypatch.setattr(mod, "float_args", counted)
+    ham.rate(state)
+    assert len(calls) == 1
+    calls.clear()
+    ham.motion(np.array(state))
+    assert len(calls) == 2
+
+
 def test_extended_map_reports_minus_energy():
     ent = twisted_line()
     for a in sample_a(ent, 10, seed=4):

@@ -13,7 +13,7 @@ from affgebroid.model import (
 )
 
 import tree_interpreter as ref
-from model_reference import c_value, full_arrays
+from model_reference import c_value, embed, full_arrays
 
 
 def so3_adapter():
@@ -183,7 +183,7 @@ def loop_residuals(model, x):
     (< K), the reference for the batched validate_structure."""
     n = model.chart.fibre_dim
     rho, cf = full_arrays(model, x)
-    rg, cg = model.structure_grad_at(x)
+    rg, cg = embed(model.structure_grad_at(x))
     pa = pj = 0.0
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -220,10 +220,36 @@ def test_validate_reads_the_structure_once_per_point(monkeypatch):
     chart = Chart(["x"], 2, base_box=[(0.5, 0.9)])
     m = from_lie_algebroid(chart, [["1"], ["x"]], {(1, 2): ["1", "0"]})
     calls = []
-    structure_at = m.structure_at
-    monkeypatch.setattr(m, "structure_at", lambda x: calls.append(1) or structure_at(x))
+    for name in ("structure_values", "structure_grad_values", "structure_at", "structure_grad_at"):
+        read = getattr(m, name)
+        monkeypatch.setattr(m, name, lambda x, name=name, read=read: calls.append(name) or read(x))
     validate_structure(m, samples=100)
-    assert len(calls) == 100
+    assert sorted(calls) == ["structure_grad_values"] * 100 + ["structure_values"] * 100
+
+
+def test_structure_grad_matches_finite_differences():
+    # entry by entry in the one layout: d/dx^i of each structure_at entry
+    # against central differences of the same entry
+    from affgebroid.atiyah import random_spec, reduce
+    from affgebroid.catalog import all_entries
+
+    rng = np.random.default_rng(7)
+    models = [e.model for e in all_entries()]
+    models += [reduce(random_spec(rng, algebra=alg)) for alg in ("so3", "sl2", "heisenberg")]
+    for model in models:
+        m, step = model.chart.dim_base, 1e-6
+        for _ in range(5):
+            x = model.chart.sample_base(rng)
+            grad = model.structure_grad_at(x)
+            for i in range(m):
+                up, dn = x.copy(), x.copy()
+                up[i] += step
+                dn[i] -= step
+                hi, lo = model.structure_at(up), model.structure_at(dn)
+                for part in ("rho0", "rho", "c0", "c"):
+                    fd = (getattr(hi, part) - getattr(lo, part)) / (2.0 * step)
+                    assert getattr(grad, part).shape == fd.shape + (m,)
+                    assert np.allclose(getattr(grad, part)[..., i], fd, rtol=1e-6, atol=1e-6), part
 
 
 def test_non_finite_residual_fails():

@@ -143,32 +143,30 @@ def structure_at(model, x):
 
 
 def structure_grad_at(model, x):
+    """d/dx of the structure in the layout of structure_at with a trailing
+    axis over the base, field by field in declaration order; constant
+    fields give zeros, and C_ba^g the negation of the C_ab^g partials."""
     m, n = model.chart.dim_base, model.chart.fibre_dim
     x = np.asarray(x, dtype=float)
-    rg = np.zeros((n + 1, m, m))
-    cg = np.zeros((n + 1, n + 1, n + 1, m))
-    if model._const:
-        return rg, cg
+    rho0, rho = np.zeros((m, m)), np.zeros((n, m, m))
+    c0, c = np.zeros((n, n, m)), np.zeros((n, n, n, m))
+
+    def grad(f):
+        return np.zeros(m) if f.is_constant() else field_value_grad(f, x)[1]
+
     for j, f in enumerate(model.rho0):
-        if not f.is_constant():
-            rg[0, j, :] = field_value_grad(f, x)[1]
+        rho0[j] = grad(f)
     for a, row in enumerate(model.rho):
         for j, f in enumerate(row):
-            if not f.is_constant():
-                rg[1 + a, j, :] = field_value_grad(f, x)[1]
+            rho[a, j] = grad(f)
     for a, row in enumerate(model.c0):
         for g, f in enumerate(row):
-            if not f.is_constant():
-                grad = field_value_grad(f, x)[1]
-                cg[0, 1 + a, 1 + g, :] = grad
-                cg[1 + a, 0, 1 + g, :] = -grad
+            c0[a, g] = grad(f)
     for (a, b), row in model.c.items():
         for g, f in enumerate(row):
-            if not f.is_constant():
-                grad = field_value_grad(f, x)[1]
-                cg[a, b, 1 + g, :] = grad
-                cg[b, a, 1 + g, :] = -grad
-    return rg, cg
+            c[a - 1, b - 1, g] = grad(f)
+            c[b - 1, a - 1, g] = -c[a - 1, b - 1, g]
+    return StructureValues(rho0, rho, c0, c)
 
 
 def outcome(fn, *args):
