@@ -70,7 +70,7 @@ def drifted_plane():
         c0=[["0", "1"], ["-1", "0"]],
     )
     lag = LagrangianSystem(model, "0.5*y1^2 + 0.5*y2^2 + 0.25*y1*y2")
-    ham = HamiltonianSystem(model, "0.5*p1^2 + 0.5*p2^2 + 0.25*p1*p2")
+    ham = HamiltonianSystem(model, "8*p1^2/15 + 8*p2^2/15 - 4*p1*p2/15")
     return SimpleNamespace(name="drifted_plane", model=model, lag=lag, ham=ham)
 
 

@@ -24,7 +24,8 @@ errors.
   initial      {"x": [m values], "y": [n values], "p": [n values]}
   integrator   {"method": "rk4", "dt": h, "t0": a, "t1": b} or
                {"method": "rk45", "rtol": r, "atol": s, "t0": a, "t1": b}
-  newton       {"tol": eps, "max_iter": k}
+  newton       {"tol": eps, "max_iter": k}, used only when the fibre Hessian
+               of L depends on the point; a constant one needs no Newton
   seed         integer feeding every randomized check (default 0)
 
 CSV layout for simulate: integration time "t" first, then the base
@@ -543,6 +544,18 @@ def _flow_commutation(bundle, rng):
     return flow_commutation_check(ham, a0, 1.0, 1e-3)
 
 
+def _pairing(bundle, rng):
+    # the config's H against L at p = dL/dy: H = y p - L and dH/dp = y, at
+    # points from an own generator, so the shared check stream never shifts
+    def at(bundle, rng):
+        a = bundle.model.chart.sample_a(rng)
+        lval, p, _ = bundle.lag_sys.legendre_data(a.x, a.y)
+        h, dhdp = bundle.ham_sys.value(a.x, p), bundle.ham_sys.grad(a.x, p)[1]
+        return abs(h + lval - float(a.y @ p)), float(np.max(np.abs(dhdp - a.y)))
+
+    return _sampled(25, at)(bundle, np.random.default_rng(bundle.seed))
+
+
 def _route_gaps(bundle, rng):
     q = bundle.model.chart.sample_vstar(rng)
     state = np.concatenate([q.x, q.p])
@@ -611,6 +624,8 @@ CHECKS = (
     _Check("lagrangian_submanifold", "tulczyjew", 1e-12, _no_lagrangian,
            _sampled(50, _generated_residual)),
     _Check("submanifold_match", "tulczyjew", 1e-8, _no_lagrangian, _submanifold_match),
+    _Check("legendre_pairing", "tulczyjew", 1e-10,
+           lambda bundle: _no_lagrangian(bundle) or _no_hamiltonian(bundle), _pairing),
     _Check("flow_commutation", "flows", 1e-5, _no_flow_start, _flow_commutation),
     _Check("hamilton_route_equality", "poisson", 1e-10, _no_hamiltonian,
            _sampled(100, _route_gaps)),

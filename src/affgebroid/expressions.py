@@ -548,15 +548,18 @@ def tree_sum(terms):
     return out
 
 
-def rebuild(tree):
-    """tree built again through the constructors, folded bottom up."""
+def rebuild(tree, subs=None):
+    """tree built again through the constructors, folded bottom up, with
+    each variable named in the dict subs replaced by its tree."""
     t = type(tree)
     if t is Neg:
-        return tree_negate(rebuild(tree.arg))
+        return tree_negate(rebuild(tree.arg, subs))
     if t is Bin:
-        return tree_op(tree.op, rebuild(tree.left), rebuild(tree.right))
+        return tree_op(tree.op, rebuild(tree.left, subs), rebuild(tree.right, subs))
     if t is Call:
-        return tree_call(tree.fn, rebuild(tree.arg))
+        return tree_call(tree.fn, rebuild(tree.arg, subs))
+    if t is Var and subs:
+        return subs.get(tree.name, tree)
     return tree
 
 

@@ -4,20 +4,21 @@ Prolongation vectors and covectors use the fixed basis order
 (reference direction, n fibre directions, n vertical directions); index 0 is
 the reference slot, 1..n the fibre block, n+1..2n the vertical block.
 
-A system evaluates L through two compiled kernels over (x, y), see
-_EnergySystem.kernel.  The "el" kernel returns the base velocity, the
-right side r of W xi = r, the fibre Hessian W and the momentum-equation
-right side; it builds the momentum equation with model.motion_trees, the
-builder of the Hamilton motion.  The dynamics section and the vector field
-read it, and a generated LU solve then gives xi.  The "legendre" kernel
-returns L, dL/dy and W (read through legendre_data) for the Legendre map,
-the energy and the Newton solves of the inverse map.  A HamiltonianSystem
-compiles its "legendre" kernel (H, dH/dp, W_H) with the same builder, so
-both directions of the Legendre duality read one kernel.  The regularity
-rule is the LU's: W is regular when its 1-norm condition number
-||W||_1 ||W^-1||_1 is below 1e12.  Only cartan_data, the independent route
-the cosymplectic check compares against, assembles the pieces in numpy
-from derivs.
+A system evaluates L through compiled kernels, see _EnergySystem.kernel.
+The "el" kernel returns the base velocity, the right side r of W xi = r,
+the fibre Hessian W and the momentum-equation right side; it builds the
+momentum equation with model.motion_trees, the builder of the Hamilton
+motion.  The "legendre" kernel returns L, dL/dy and W for the Legendre map
+and the energy.  When W depends on the point, a generated LU solves for xi
+on every call and the Legendre inverse runs a Newton.  When the W trees fold
+to literals and W is regular (constant_hessian), solve_trees factors W once,
+as the kernels compile: the "el" kernel also returns xi, and the Legendre
+inverse and the induced Hamiltonian get kernels of their own.  A
+HamiltonianSystem compiles its "legendre" kernel (H, dH/dp, W_H) with the
+same builder.  The regularity rule is the LU's: W is regular when its 1-norm
+condition number ||W||_1 ||W^-1||_1 is below 1e12.  Only cartan_data, the
+independent route the cosymplectic check compares against, assembles the
+pieces in numpy from derivs.
 """
 
 import functools
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularLagrangian
-from .expressions import Var, compile_trees, float_args, parse, tree_negate
-from .expressions import tree_op, tree_sum
+from .expressions import Bin, Num, Var, compile_trees, float_args, literal_value, parse
+from .expressions import rebuild, tree_negate, tree_num, tree_op, tree_sum
 from .flow import rate_field
 from .model import motion_trees
 
@@ -46,22 +47,23 @@ class _EnergySystem:
         self._kernels = {}
 
     def kernel(self, kind):
-        """A fused kernel over (base, fibre) values, compiled on first use,
-        returning one flat tuple.  kind "legendre" returns the energy
-        function E, dE/dfibre and its fibre Hessian W row-major; "el" (L
-        only) returns the base velocity vel, r = rhs - vel d2L/dxdy, W and
-        the momentum-equation right side rhs; "motion" (H only) returns
-        xdot, pdot and dH/dp."""
+        """A fused kernel, compiled on first use, returning one flat tuple.
+        Over (base, fibre) values, kind "legendre" returns the energy E,
+        dE/dfibre and its fibre Hessian W row-major; "el" (L only) the base
+        velocity vel, r = rhs - vel d2L/dxdy, W, the momentum-equation right
+        side rhs and, for a constant W, xi; "motion" (H only) xdot, pdot and
+        dH/dp.  Over (x, p), for a constant W: "inverse" the y with
+        dL/dy(x, y) = p, and "induced" the "motion" of the image of L."""
         k = self._kernels.get(kind)
         if k is None:
             k = self._kernels[kind] = self._compile(kind)
         return k
 
     def _compile(self, kind):
-        # "legendre" and "el"; the checked steps run as the separate
-        # evaluations ran them: the structure fields (for "el"), the value
-        # of the energy function, then its partials in the order eval_dual2
-        # evaluates them
+        # "legendre", "el" and the closed forms; the checked steps run as
+        # the separate evaluations ran them: the structure fields (for "el"
+        # and "induced"), the value of the energy function, then its
+        # partials in the order eval_dual2 evaluates them
         model, f = self.model, self._energy
         m, n = model.chart.dim_base, model.chart.fibre_dim
         grad = [f._partial(j) for j in range(m + n)]
@@ -76,6 +78,19 @@ class _EnergySystem:
         if kind == "legendre":
             steps = [(f.ast, True)] + [(t, False) for t in dldy + upper]
             return compile_trees([f.ast] + dldy + w_flat, f.variables, steps)
+        if kind in ("inverse", "induced"):
+            # y = W^-1 (p - dL/dy(x, 0)), and at it dH/dx = -dL/dx, dH/dp = y
+            names = model.chart.base_names + model.chart.dual_names
+            p = [Var(name) for name in names[m:]]
+            origin = {name: Num(0.0) for name in f.variables[m:]}
+            g = [tree_op("-", pa, rebuild(d, origin)) for pa, d in zip(p, dldy)]
+            y = solve_trees(self.constant_hessian, g)
+            if kind == "inverse":
+                return compile_trees(y, names)
+            at_y = dict(zip(f.variables[m:], y))
+            dhdx = [tree_negate(rebuild(d.ast, at_y)) for d in grad[:m]]
+            steps = model.structure_steps() + [(rebuild(f.ast, at_y), True)]
+            return compile_trees(motion_trees(model.structure_trees(), dhdx, y, p), names, steps)
         d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
         partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
         steps = model.structure_steps() + [(f.ast, True)] + [(t, False) for t in partials]
@@ -87,7 +102,8 @@ class _EnergySystem:
         vel, rhs = motion[:m], motion[m : m + n]
         drift = [tree_sum(tree_op("*", vel[i], d2xy[i][a]) for i in range(m)) for a in range(n)]
         r = [tree_sum([rhs[a], tree_negate(drift[a])]) for a in range(n)]
-        return compile_trees(vel + r + w_flat + rhs, f.variables, steps)
+        xi = [] if self.constant_hessian is None else solve_trees(self.constant_hessian, r)
+        return compile_trees(vel + r + w_flat + rhs + xi, f.variables, steps)
 
     def evaluate(self, kind, x, y):
         """The kernel of that kind at (x, y)."""
@@ -108,6 +124,16 @@ class LagrangianSystem(_EnergySystem):
     def __init__(self, model, lagrangian):
         super().__init__(model, lagrangian, "lagrangian", model.chart.fibre_names)
         self.lagrangian = self._energy
+
+    @functools.cached_property
+    def constant_hessian(self):
+        """W as n*n floats row-major when its trees fold to literals and it
+        passes the regularity rule, else None.  Read on first kernel use."""
+        m, n = self.model.chart.dim_base, self.model.chart.fibre_dim
+        f = self.lagrangian
+        w = [literal_value(f._partial(m + min(a, b))._partial(m + max(a, b)).ast)
+             for a in range(n) for b in range(n)]
+        return None if None in w or not regularity(np.reshape(w, (n, n)))[0] else w
 
     def derivs(self, x, y):
         """Value, base gradient, fibre gradient, mixed block and fibre Hessian
@@ -194,6 +220,37 @@ def fibre_lu(n):
     return namespace.pop("lu")
 
 
+def solve_trees(w, b):
+    """The trees of xi with W xi = b, for a regular W given as its n*n
+    floats row-major and b a list of n trees: fibre_lu(n)'s elimination,
+    with its pivot rule and order of operations, run once.  Its pivots,
+    multipliers and U are floats; the operations on b stay trees, and none
+    is dropped, so a kernel of them gives fibre_lu's xi bit for bit."""
+    n = len(b)
+    a = [list(w[i * n : (i + 1) * n]) for i in range(n)]
+    b = list(b)
+
+    def op(o, s, t):
+        # only literals fold: dropping a zero term can flip the sign of a zero
+        literals = literal_value(s) is not None and literal_value(t) is not None
+        return tree_op(o, s, t) if literals else Bin(o, s, t)
+
+    for k in range(n):
+        # the largest candidate, the first row on ties, as fibre_lu's strict >
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+        for i in range(k + 1, n):
+            a[i][k] = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - a[i][k] * a[k][j]
+            b[i] = op("-", b[i], op("*", tree_num(a[i][k]), b[k]))
+    for i in reversed(range(n)):
+        for j in reversed(range(i + 1, n)):
+            b[i] = op("-", b[i], op("*", tree_num(a[i][j]), b[j]))
+        b[i] = op("/", b[i], tree_num(a[i][i]))
+    return b
+
+
 def _fibre_solve(w, b):
     # xi from the flat W and b, refused when W is singular under the rule
     xi, cond = fibre_lu(len(b))(w, b)
@@ -255,7 +312,7 @@ def momentum_equation_rhs(sys, x, y):
     """Right side of the momentum form of the dynamics:
     d/dt (dL/dy^a) = rho_a^i dL/dx^i + (C_0a^g + C_ba^g y^b) dL/dy^g."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
-    return np.array(sys.evaluate("el", x, y)[m + n + n * n :])
+    return np.array(sys.evaluate("el", x, y)[m + n + n * n : m + 2 * n + n * n])
 
 
 def cartan_data(sys, point, xi0=None):
@@ -305,21 +362,22 @@ def cartan_data(sys, point, xi0=None):
 def el_section(sys, point):
     """Dynamics section at a point: components (1, y^a, xi^a) on the
     prolongation basis.  Requires a regular Lagrangian."""
-    m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
-    out = sys.evaluate("el", point.x, point.y)
-    xi = _fibre_solve(out[m + n : m + n + n * n], out[m : m + n])
-    return np.concatenate([[1.0], point.y, xi])
+    ydot = el_vector_field(sys)(np.concatenate([point.x, point.y]))
+    return np.concatenate([[1.0], point.y, ydot[sys.model.chart.dim_base :]])
 
 
 def el_vector_field(sys):
     """Autonomous field on (x, y) space integrating the dynamics:
-    xdot = anchor drift, ydot = xi from the momentum equation."""
+    xdot = anchor drift, ydot = xi from the momentum equation: the last
+    block of the "el" kernel for a constant W, else the LU solve."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
-    kernel = sys.kernel("el")
-    w_end = m + n + n * n
+    kernel, w_end = sys.kernel("el"), m + n + n * n
+    closed = sys.constant_hessian is not None
 
     def rate(state):
         out = kernel(*state)
+        if closed:
+            return out[:m] + out[w_end + n :]
         return out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n])
 
     return rate_field(rate, sys.lagrangian.variables)

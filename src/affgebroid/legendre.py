@@ -1,14 +1,15 @@
-"""Legendre duality both ways: fibre derivative of L, its Newton inverse,
-the induced Hamiltonian, and reconstruction of L from a Hamiltonian.
+"""Legendre duality both ways: fibre derivative of L, its inverse, the
+induced Hamiltonian, and reconstruction of L from a Hamiltonian.
 
-Both directions read one kernel, the "legendre" kernel of the system
-(L, dL/dy, W on A; H, dH/dp, W_H on the dual), and run one damped Newton
-on it.  InducedHamiltonian pairs a regular Lagrangian (.lag) with its
-Hamiltonian; flow_commutation_check reads both sides from it.  It never
-differentiates the Newton loop: its value and fibre Hessian come from the
-kernel output at the matched velocity, and its gradient from the
-implicit-function identities there: dH/dp = y, dH/dx = -dL/dx, fibre
-Hessian of H = inverse of the fibre Hessian of L.
+Both directions read the "legendre" kernel of the system (L, dL/dy, W on
+A; H, dH/dp, W_H on the dual) and run one damped Newton on it, except that
+for a constant regular W (LagrangianSystem.constant_hessian) the inverse of
+Leg_L is affine, y = W^-1 (p - dL/dy(x, 0)), and compiled.  InducedHamiltonian
+pairs a regular Lagrangian (.lag) with its Hamiltonian; flow_commutation_check
+reads both sides from it.  It never differentiates the inverse: its value and
+fibre Hessian come from the kernel output at the matched velocity, and its
+gradient and motion from the implicit-function identities there: dH/dp = y,
+dH/dx = -dL/dx, fibre Hessian of H = inverse of the fibre Hessian of L.
 """
 
 from dataclasses import dataclass
@@ -86,19 +87,21 @@ def leg(sys, a):
 
 
 def leg_inverse(sys, v, guess=None, params=None):
-    """Velocity with dL/dy(x, y) = p, by damped Newton on the fibre.
-
-    guess seeds the iteration (default: fibre origin).  Requires a regular
-    Lagrangian along the path; raises SingularLagrangian or NewtonDivergence.
-    """
-    return APoint(v.x, _newton(sys, *_floats(sys, v.x, v.p, guess), params)[0])
+    """Velocity with dL/dy(x, y) = p: the closed form for a constant W,
+    otherwise damped Newton on the fibre from guess (default: the fibre
+    origin) under params.  Requires a regular Lagrangian along the path;
+    raises SingularLagrangian or NewtonDivergence."""
+    x, p, guess = _floats(sys, v.x, v.p, guess)
+    if sys.constant_hessian is not None:
+        return APoint(v.x, sys.kernel("inverse")(*x, *p))
+    return APoint(v.x, _newton(sys, x, p, guess, params)[0])
 
 
 class InducedHamiltonian:
     """Legendre image of a Lagrangian as a live Hamiltonian: value, grad,
     fibre_hessian, motion and rate as a HamiltonianSystem has them, read at
-    the velocity the fibre Newton solve matches to p.  Keeps a warm-start cache
-    for that solve, which saves iterations along continuous paths.  Where
+    the velocity leg_inverse matches to p.  The Newton solve keeps a
+    warm-start cache, which saves iterations along continuous paths.  Where
     Newton starts changes the matched velocity by rounding, within the
     Newton tol, so results can depend on the order of earlier calls at that
     level; the same call sequence reproduces exactly."""
@@ -111,8 +114,11 @@ class InducedHamiltonian:
         self._kernel = None
 
     def _match(self, x, p):
-        # the velocity y with dL/dy(x, y) = p, started at the last one, and
-        # the "legendre" kernel output of L there; x and p are float lists
+        # the velocity y with dL/dy(x, y) = p (Newton starts at the last
+        # one) and the "legendre" kernel output of L there, on float lists
+        if self.lag.constant_hessian is not None:
+            y = list(self.lag.kernel("inverse")(*x, *p))
+            return y, self.lag.kernel("legendre")(*x, *y)
         y, out = _newton(self.lag, x, p, self._warm, self.params)
         self._warm = y
         return y, out
@@ -138,13 +144,15 @@ class InducedHamiltonian:
         return np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
 
     def motion(self, state):
-        """As HamiltonianSystem.motion, from the same trees with the
-        structure values, dH/dx and dH/dp as free variables: the structure
-        is evaluated first, then the Newton solve runs."""
+        """As HamiltonianSystem.motion, from the same trees: the "induced"
+        kernel for a constant W, else with the structure values, dH/dx and
+        dH/dp as free variables, evaluated before the Newton solve."""
         chart = self.model.chart
         return self._motion(float_args(state, chart.base_names + chart.dual_names))
 
     def _motion(self, state):
+        if self.lag.constant_hessian is not None:
+            return self.lag.kernel("induced")(*state)
         model = self.model
         m, n = model.chart.dim_base, model.chart.fibre_dim
         x, p = state[:m], state[m:]

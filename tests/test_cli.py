@@ -305,11 +305,11 @@ def test_simulate_matches_tree_interpreter(tmp_path, monkeypatch):
         interpreted = tmp_path / "interpreted.csv"
         del built[:]
         assert main(["simulate", str(cfg), "--mode", mode, "--out", str(interpreted)]) == 0
-        # the fused field kernel went through the stand-in: (vel, r, W, rhs)
-        # or (xdot, pdot, dH/dp)
+        # the fused field kernel went through the stand-in: (vel, r, W, rhs,
+        # xi), every shipped L having a constant W, or (xdot, pdot, dH/dp)
         chart = load_config(cfg).chart
         m, n = chart.dim_base, chart.fibre_dim
-        assert (m + 2 * n + n * n if mode == "lagrangian" else m + 2 * n) in built, (cfg.name, mode)
+        assert (m + 3 * n + n * n if mode == "lagrangian" else m + 2 * n) in built, (cfg.name, mode)
         assert interpreted.read_bytes() == out.read_bytes(), (cfg.name, mode)
 
 
@@ -836,3 +836,118 @@ def test_cli_digest_expands_atiyah_configs():
     ]
     assert records[-1]["argv"] == ["atiyah-expand", "configs/atiyah_magnetic.json", "--out", "OUT"]
     assert records[-1]["exit"] == 0 and len(records[-1]["file"]) == 64
+
+
+def drifted_plane_config(hamiltonian):
+    return {
+        "chart": {"base": ["t"], "fibre_dim": 2,
+                  "box": {"t": [0, 5], "y1": [-2, 2], "y2": [-2, 2]}},
+        "structure": {"rho0": ["0"], "rho": [["0"], ["0"]], "c0": [["0", "1"], ["-1", "0"]]},
+        "lagrangian": "0.5*y1^2 + 0.5*y2^2 + 0.25*y1*y2",
+        "hamiltonian": hamiltonian,
+        "initial": {"x": [0.0], "y": [0.3, -0.2], "p": [0.25, -0.125]},
+    }
+
+
+def check_rows(out):
+    return {ln.split()[0]: ln for ln in out.splitlines()[:-1]}
+
+
+def test_check_legendre_pairing_refuses_a_hamiltonian_that_is_not_the_transform(
+    tmp_path, capsys
+):
+    dual = write_config(tmp_path, drifted_plane_config("8*p1^2/15 + 8*p2^2/15 - 4*p1*p2/15"))
+    assert main(["check", dual, "--suite", "tulczyjew"]) == 0
+    assert check_rows(capsys.readouterr().out)["legendre_pairing"].endswith("PASS")
+    cfg = drifted_plane_config("0.5*p1^2 + 0.5*p2^2 + 0.25*p1*p2")
+    assert main(["check", write_config(tmp_path, cfg), "--suite", "all"]) == 1
+    out = capsys.readouterr().out
+    failed = [name for name, ln in check_rows(out).items() if ln.endswith("FAIL")]
+    assert failed == ["legendre_pairing"] and out.endswith("FAIL\n")
+    del cfg["hamiltonian"]
+    assert main(["check", write_config(tmp_path, cfg), "--suite", "tulczyjew"]) == 0
+    row = check_rows(capsys.readouterr().out)["legendre_pairing"]
+    assert row.split()[1:] == ["(no", "hamiltonian)", "SKIP"]
+
+
+def test_check_legendre_pairing_leaves_the_other_rows_unchanged(monkeypatch, capsys):
+    # the row draws its points from its own generator, so every other row
+    # prints what it prints without it
+    for cfg in (OSC, RIGID, MAGNETIC):
+        assert main(["check", cfg]) == 0
+        rows = check_rows(capsys.readouterr().out)
+        monkeypatch.setattr(cli, "CHECKS", tuple(r for r in cli.CHECKS
+                                                 if r.name != "legendre_pairing"))
+        assert main(["check", cfg]) == 0
+        assert check_rows(capsys.readouterr().out) == {
+            k: v for k, v in rows.items() if k != "legendre_pairing"
+        }
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("lagrangian, cond", [
+    ("0.5*y1^2", "inf"), ("0.5*y1^2 + 0.5e-13*y2^2", "1.000e+13"),
+])
+def test_singular_constant_fibre_hessian_fails_on_every_command(
+    tmp_path, capsys, lagrangian, cond
+):
+    # a constant W that fails the regularity rule gets no closed form: the
+    # commands fail as every fibre solve refuses it
+    cfg = drifted_plane_config(None)
+    del cfg["hamiltonian"]
+    cfg["lagrangian"] = lagrangian
+    path = write_config(tmp_path, cfg)
+    error = "fibre Hessian singular: condition number %s" % cond
+    assert main(["simulate", path, "--mode", "lagrangian", "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err == "numeric failure: %s\n" % error
+    assert main(["legendre", path, "--grid", "y1=0:1:2,y2=0:1:2"]) == 1
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert [ln.split()[-1] for ln in rows] == ["ok", "ok", "singular", "singular"]
+    assert main(["check", path]) == 1
+    rows = check_rows(capsys.readouterr().out)
+    for name in ("submanifold_match", "flow_commutation"):
+        assert rows[name] == "%-26s error: %s FAIL" % (name, error)
+
+
+def _count_newton_and_lu(monkeypatch):
+    # calls of legendre._newton and of the functions fibre_lu generates
+    from affgebroid import lagrangian, legendre
+
+    calls = {"newton": 0, "lu": 0}
+    newton = legendre._newton
+
+    def counted_newton(*args):
+        calls["newton"] += 1
+        return newton(*args)
+
+    def counted_lu(n, _lu=lagrangian.fibre_lu):
+        def lu(w, b):
+            calls["lu"] += 1
+            return _lu(n)(w, b)
+
+        return lu
+
+    monkeypatch.setattr(legendre, "_newton", counted_newton)
+    monkeypatch.setattr(lagrangian, "fibre_lu", counted_lu)
+    return calls
+
+
+@pytest.mark.parametrize("quartic", [False, True])
+def test_check_on_a_constant_fibre_hessian_runs_no_newton_and_no_lu(
+    tmp_path, monkeypatch, capsys, quartic
+):
+    # once the kernels of the config's systems are compiled, check runs the
+    # closed forms: no Newton solve and no LU; a quartic L still runs both
+    cfg = json.loads(Path(RIGID).read_text())
+    if quartic:
+        cfg["lagrangian"] += " + 0.25*y1^4"
+    bundle = load_config(write_config(tmp_path, cfg))
+    monkeypatch.setattr(cli, "load_config", lambda path: bundle)
+    main(["check", RIGID, "--suite", "all"])
+    calls = _count_newton_and_lu(monkeypatch)
+    main(["check", RIGID, "--suite", "all"])
+    assert "flow_commutation" in capsys.readouterr().out
+    if quartic:
+        assert calls["newton"] > 0 and calls["lu"] > 0
+    else:
+        assert calls == {"newton": 0, "lu": 0}

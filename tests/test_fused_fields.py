@@ -6,13 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import field_reference as ref
 from affgebroid.atiyah import random_spec, reduce
 from affgebroid.catalog import all_entries, rigid_body
 from affgebroid.errors import DomainError, NewtonDivergence, SingularLagrangian
 from affgebroid.hamiltonian import HamiltonianSystem, hamilton_vector_field, reeb_section
+from affgebroid.expressions import Var, compile_trees, tree_num
 from affgebroid.lagrangian import (
+    COND_LIMIT,
     LagrangianSystem,
     el_section,
     el_vector_field,
@@ -20,6 +23,7 @@ from affgebroid.lagrangian import (
     momentum_equation_rhs,
     regularity,
     solve_fibre_hessian,
+    solve_trees,
 )
 from affgebroid.legendre import InducedHamiltonian, l_from_h
 from affgebroid.model import AffgebroidModel, APoint, Chart, VStarPoint
@@ -99,6 +103,34 @@ def test_lu_rule_near_singular():
     assert ok and cond == pytest.approx(1e11)
 
 
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+def _systems(n):
+    # W with zeros and +-1 entries, so that rows swap and multipliers are
+    # 0 or +-1; b with signed zeros, infinities and NaN, some of its entries
+    # literals in the trees
+    w = st.lists(_SPECIAL | st.floats(-4.0, 4.0), min_size=n * n, max_size=n * n)
+    b = st.lists(
+        _SPECIAL | st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats(-1e3, 1e3),
+        min_size=n, max_size=n,
+    )
+    return st.tuples(w, b, st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(_systems))
+def test_solve_trees_is_the_lu_bit_for_bit(system):
+    w, b, literal = system
+    n = len(b)
+    xi, cond = fibre_lu(n)(w, b)
+    assume(cond < COND_LIMIT)
+    names = ["b%d" % i for i in range(n)]
+    rhs = [tree_num(v) if lit else Var(nm) for v, lit, nm in zip(b, literal, names)]
+    got = compile_trees(solve_trees(w, rhs), names)(*b)
+    assert list(map(repr, got)) == list(map(repr, xi))
+
+
 def test_lu_is_generated_once_per_dimension():
     assert fibre_lu(3) is fibre_lu(3)
     assert fibre_lu(2) is not fibre_lu(3)
@@ -155,6 +187,22 @@ def test_fused_fields_match_reference_assembly(ent):
         )
         assert _close(fh(np.concatenate([v.x, v.p])), rh(np.concatenate([v.x, v.p])))
         assert _close(reeb_section(ent.ham, v), ref.reeb_section(ent.ham, v))
+
+
+@pytest.mark.parametrize("ent", all_entries() + _generated_entries(), ids=lambda e: e.name)
+def test_constant_hessian_field_is_the_lu_field_bit_for_bit(ent):
+    # the xi the "el" kernel returns for a constant W against the LU solve
+    # the same L makes with constant_hessian switched off
+    lu_path = LagrangianSystem(ent.model, ent.lag.lagrangian.source)
+    lu_path.constant_hessian = None
+    assert ent.lag.constant_hessian is not None
+    fast, slow = el_vector_field(ent.lag), el_vector_field(lu_path)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a = ent.model.chart.sample_a(rng)
+        state = np.concatenate([a.x, a.y])
+        assert fast(state).tobytes() == slow(state).tobytes()
+        assert el_section(ent.lag, a).tobytes() == el_section(lu_path, a).tobytes()
 
 
 @pytest.mark.parametrize("ent", all_entries(), ids=lambda e: e.name)

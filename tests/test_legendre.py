@@ -14,6 +14,8 @@ from affgebroid.hamiltonian import (
 from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.legendre import (
     InducedHamiltonian,
+    NewtonParams,
+    _newton,
     flow_commutation_check,
     l_from_h,
     leg,
@@ -96,14 +98,26 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
     assert h == float(v.p @ cold.y) - ent.lag.derivs(cold.x, cold.y)[0]
 
 
-@pytest.mark.parametrize("maker", [rigid_body, twisted_line])
-def test_induced_rate_converts_its_state_once(maker, monkeypatch):
-    # rate runs on the integrator's float list, so only structure_values
-    # converts x; motion converts the state once more on entry
+def _quartic_entry():
+    ent = twisted_line()
+    src = "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1"
+    ent.name, ent.lag = "twisted_line-quartic", LagrangianSystem(ent.model, src)
+    return ent
+
+
+@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), _quartic_entry()],
+                         ids=lambda e: e.name)
+def test_induced_rate_converts_its_state_once(ent, monkeypatch):
+    # rate runs on the integrator's float list.  For a constant W it is one
+    # compiled kernel and converts nothing; on the Newton path only
+    # structure_values converts x.  motion converts the state once more on
+    # entry
     from affgebroid import expressions, flow, hamiltonian, lagrangian, legendre, model
 
-    ham = InducedHamiltonian(maker().lag)
-    v = sample_v(maker(), 1, seed=4)[0]
+    newton = ent.lag.constant_hessian is None
+    assert newton == (ent.name == "twisted_line-quartic")
+    ham = InducedHamiltonian(ent.lag)
+    v = sample_v(ent, 1, seed=4)[0]
     state = np.concatenate([v.x, v.p]).tolist()
     ham.rate(state)  # compiles the kernels and warms the Newton start
     calls = []
@@ -115,10 +129,10 @@ def test_induced_rate_converts_its_state_once(maker, monkeypatch):
     for mod in (expressions, flow, hamiltonian, lagrangian, legendre, model):
         monkeypatch.setattr(mod, "float_args", counted)
     ham.rate(state)
-    assert len(calls) == 1
+    assert len(calls) == (1 if newton else 0)
     calls.clear()
     ham.motion(np.array(state))
-    assert len(calls) == 2
+    assert len(calls) == (2 if newton else 1)
 
 
 def test_extended_map_reports_minus_energy():
@@ -168,19 +182,16 @@ def test_l_from_h_reads_only_the_legendre_kernel_of_h(maker, monkeypatch):
     assert calls == Counter()
 
 
-def _quartic_entry():
-    ent = twisted_line()
-    src = "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1"
-    ent.name, ent.lag = "twisted_line-quartic", LagrangianSystem(ent.model, src)
-    return ent
-
-
 @pytest.mark.parametrize("ent", all_entries() + [_quartic_entry()], ids=lambda e: e.name)
 def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch):
-    # value and fibre_hessian read L and W from the kernel output at the
-    # Newton's last iterate: they make the "legendre" kernel calls that a
-    # leg_inverse from the same start makes, one per residual, and nothing
-    # else evaluates L
+    # value and fibre_hessian read L and W from the "legendre" kernel output
+    # at the matched velocity.  On the Newton path (the quartic L) that is
+    # the last iterate: they make the "legendre" kernel calls that a
+    # leg_inverse from the same start makes, one per residual.  For a
+    # constant W, leg_inverse makes one "inverse" kernel call, and they make
+    # that call and one "legendre" call.  Nothing else evaluates L
+    newton = ent.lag.constant_hessian is None
+    assert newton == (ent.name == "twisted_line-quartic")
     calls = Counter()
     _count_calls(monkeypatch, ent.lag.lagrangian, calls)
     kernel = LagrangianSystem.kernel
@@ -198,11 +209,16 @@ def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch)
         for method in ("value", "fibre_hessian"):
             calls.clear()
             leg_inverse(ent.lag, v)
-            residuals = calls["legendre"]
-            assert calls == Counter(legendre=residuals) and residuals >= 1
+            if newton:
+                residuals = calls["legendre"]
+                assert calls == Counter(legendre=residuals) and residuals >= 1
+                want = Counter(legendre=residuals)
+            else:
+                assert calls == Counter(inverse=1)
+                want = Counter(inverse=1, legendre=1)
             calls.clear()
             getattr(InducedHamiltonian(ent.lag), method)(v.x, v.p)
-            assert calls == Counter(legendre=residuals), method
+            assert calls == want, method
 
 
 def test_l_from_h_section_independent():
@@ -299,3 +315,56 @@ def test_quartic_lagrangian_round_trip():
         v = leg(quart, a)
         back = leg_inverse(quart, v, guess=[0.5])
         assert abs(back.y[0] - val) < 1e-10
+
+
+def _newton_reference(lag, v):
+    # y, H, dH/dx and dH/dp at (x, p) from the Newton solve, as the Newton
+    # path of InducedHamiltonian reads them
+    x, p = v.x.tolist(), v.p.tolist()
+    y, out = _newton(lag, x, p, None, NewtonParams())
+    dldx = lag.lagrangian._kernel(1)(*x, *y)[1 : 1 + len(x)]
+    return np.array(y), float(v.p @ np.array(y)) - out[0], -np.array(dldx)
+
+
+def _random_quadratics(k, seed):
+    # strictly convex quadratic fibre parts with base coupling, over x
+    ent = twisted_line()
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        a, c = rng.uniform(0.3, 2.0, size=2)
+        b = rng.uniform(-0.5, 0.5) * np.sqrt(a * c)
+        src = "%.17g*y1^2 + %.17g*y1*y2 + %.17g*y2^2 + x*y1 + sin(x)*y2 - 0.5*x^2" % (a, b, c)
+        out.append(LagrangianSystem(ent.model, src))
+    return out
+
+
+def test_closed_form_matches_the_newton():
+    # y, value, grad and motion of the closed form against the Newton on
+    # the same L, and against the Newton path of InducedHamiltonian, which
+    # runs when constant_hessian is switched off
+    lags = [ent.lag for ent in all_entries()] + _random_quadratics(10, seed=15)
+    for lag in lags:
+        assert lag.constant_hessian is not None
+        closed = InducedHamiltonian(lag)
+        slow = LagrangianSystem(lag.model, lag.lagrangian.source)
+        slow.constant_hessian = None
+        newton = InducedHamiltonian(slow)
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            v = lag.model.chart.sample_vstar(rng)
+            y, value, dhdx = _newton_reference(lag, v)
+            assert np.max(np.abs(leg_inverse(lag, v).y - y)) <= 1e-12
+            assert abs(closed.value(v.x, v.p) - value) <= 1e-12
+            gx, gp = closed.grad(v.x, v.p)
+            assert np.max(np.abs(gx - dhdx)) <= 1e-12 and np.max(np.abs(gp - y)) <= 1e-12
+            state = np.concatenate([v.x, v.p])
+            gap = np.array(closed.motion(state)) - np.array(newton.motion(state))
+            assert np.max(np.abs(gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("ent", all_entries(), ids=lambda e: e.name)
+def test_catalog_hamiltonian_is_the_legendre_image_of_its_lagrangian(ent):
+    induced = InducedHamiltonian(ent.lag)
+    for v in sample_v(ent, 20, seed=17):
+        assert abs(ent.ham.value(v.x, v.p) - induced.value(v.x, v.p)) <= 1e-12
