@@ -60,13 +60,14 @@ from .errors import (
     SingularLagrangian,
     StepUnderflow,
 )
-from .flow import integrate_rk4, integrate_rk45, time_derivative
+from .expressions import literal_value, rebuild
+from .flow import integrate_rk4, integrate_rk45, rate_and_energy, time_derivative
 from .hamiltonian import (
     HamiltonianSystem,
     hamilton_vector_field,
     poisson_hamiltonian_field,
 )
-from .lagrangian import LagrangianSystem, el_vector_field
+from .lagrangian import LagrangianSystem, el_vector_field, regularity
 from .legendre import InducedHamiltonian, NewtonParams, flow_commutation_check, leg_inverse
 from .model import AffgebroidModel, APoint, Chart, VStarPoint, validate_structure
 from .tulczyjew import a_map, a_map_inverse, s_h_point, s_l_generator, s_l_residual, sigma
@@ -330,10 +331,10 @@ def _write(path, text):
 
 def _pure_algebra(model):
     # no anchors and no reference bracket: momentum norm is then conserved
-    # for orthogonal-structure algebras and worth a column
-    origin = np.zeros(model.chart.dim_base)
-    rows = (model.rho0, *model.rho, *model.c0)
-    return all(f.is_constant() and f.eval(origin) == 0.0 for row in rows for f in row)
+    # for orthogonal-structure algebras and worth a column; a constant
+    # field folds to its value
+    fields = [f for row in (model.rho0, *model.rho, *model.c0) for f in row]
+    return all(f.is_constant() and literal_value(rebuild(f.ast)) == 0.0 for f in fields)
 
 
 def cmd_validate(args):
@@ -366,7 +367,6 @@ def cmd_simulate(args):
         state0 = np.concatenate([bundle.initial.x, bundle.initial.y])
         coord_names = chart.fibre_names
         value_name = "L"
-        value_field = bundle.lag_sys.lagrangian
     else:
         if bundle.ham_sys is None:
             raise ConfigError("hamiltonian: required for --mode hamiltonian")
@@ -376,7 +376,6 @@ def cmd_simulate(args):
         state0 = np.concatenate([bundle.initial.x, bundle.initial.p])
         coord_names = chart.dual_names
         value_name = "H"
-        value_field = bundle.ham_sys.hamiltonian
 
     integ = bundle.integrator
     if integ.method == "rk4":
@@ -390,14 +389,16 @@ def cmd_simulate(args):
     base_headers = ["t_state" if nm == "t" else nm for nm in chart.base_names]
     header = ["t"] + base_headers + list(coord_names) + [value_name, "residual"]
     states = traj.states
+    # the field and its energy at every state but the last are the
+    # integrator's first stage there, which the field being pure makes
+    # exact to reuse
+    rate, value = rate_and_energy(field, traj.final)
     if len(traj) >= 3:
-        # the field at every state but the last is the integrator's first
-        # stage there, which the field being pure makes exact to reuse
-        rates = np.vstack([traj.slopes, field(traj.final)])
+        rates = np.vstack([traj.slopes, rate])
         residual = np.max(np.abs(time_derivative(traj.times, states) - rates), axis=1)
     else:
         residual = np.full(len(traj), np.nan)
-    columns = [traj.times, states, [value_field.eval(s) for s in states], residual]
+    columns = [traj.times, states, np.append(traj.energies, value), residual]
     if with_casimir:
         header.append("casimir")
         # a dot per row: a vectorised sum of squares may round differently
@@ -469,6 +470,10 @@ def cmd_legendre(args):
         try:
             _, p, w = sys_obj.legendre_data(x0, y)
             det = float(np.linalg.det(w))
+            # a Newton that starts at its root takes no step, so no fibre
+            # solve meets W there; a constant W passed the rule already
+            if sys_obj.constant_hessian is None and not regularity(w)[0]:
+                raise SingularLagrangian("fibre Hessian singular")
             v = VStarPoint(x0, p)
             back = leg_inverse(sys_obj, v, params=bundle.newton)
             err = float(np.max(np.abs(back.y - y)))

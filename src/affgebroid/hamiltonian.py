@@ -17,9 +17,9 @@ from .model import motion_trees
 class HamiltonianSystem(_EnergySystem):
     """A model with a Hamiltonian over (base, momentum) coordinates.
 
-    Evaluation goes through value/grad/fibre_hessian/motion/rate so a
-    numerically induced Hamiltonian (Legendre image of a Lagrangian) can
-    drop in for a parsed one.  Its kernels are compiled as a
+    Evaluation goes through value/grad/fibre_hessian/motion/motion_kernel
+    so a numerically induced Hamiltonian (Legendre image of a Lagrangian)
+    can drop in for a parsed one.  Its kernels are compiled as a
     LagrangianSystem's are, one per kind: "motion" and "legendre".
     """
 
@@ -43,15 +43,15 @@ class HamiltonianSystem(_EnergySystem):
         """The momentum Hessian W_H, from the "legendre" kernel."""
         return self.legendre_data(x, p)[2]
 
-    def motion(self, state):
-        """xdot, pdot and dH/dp at the state (x, p), as one flat tuple from
-        the "motion" kernel.  Its checked steps are the structure fields,
+    def motion_kernel(self):
+        """The "motion" kernel, positional over (x, p): xdot, pdot, dH/dp
+        and H, one flat tuple.  Its checked steps are the structure fields,
         then the value of H, then its partials."""
-        return self.kernel("motion")(*float_args(state, self.hamiltonian.variables))
+        return self.kernel("motion")
 
-    def rate(self, state):
-        """xdot and pdot at the state, a list of floats (x, p)."""
-        return self.kernel("motion")(*state)[: len(state)]
+    def motion(self, state):
+        """The "motion" kernel at the state (x, p)."""
+        return self.motion_kernel()(*float_args(state, self.hamiltonian.variables))
 
     def _compile(self, kind):
         if kind != "motion":
@@ -61,7 +61,7 @@ class HamiltonianSystem(_EnergySystem):
         grad = [h._partial(j).ast for j in range(len(h.variables))]
         steps = model.structure_steps() + [(h.ast, True)] + [(d, False) for d in grad]
         p = [Var(name) for name in h.variables[m:]]
-        outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p)
+        outputs = motion_trees(model.structure_trees(), grad[:m], grad[m:], p) + [h.ast]
         return compile_trees(outputs, h.variables, steps)
 
 
@@ -102,13 +102,16 @@ def reeb_section(sys, point):
     (1, dH/dp, pdot)."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
     out = sys.motion(np.concatenate([point.x, point.p]))
-    return np.array((1.0,) + out[m + n :] + out[m : m + n])
+    return np.array((1.0,) + out[m + n : m + 2 * n] + out[m : m + n])
 
 
 def hamilton_vector_field(sys):
     """Autonomous field on (x, p): xdot = anchor drift along dH/dp,
-    pdot = - rho dH/dx + momentum twist."""
-    return rate_field(sys.rate, sys.model.chart.base_names + sys.model.chart.dual_names)
+    pdot = - rho dH/dx + momentum twist, with H as its energy.  Its kernel
+    is the motion kernel of sys, a HamiltonianSystem or an
+    InducedHamiltonian: the rate is its first outputs, H its last."""
+    names = sys.model.chart.base_names + sys.model.chart.dual_names
+    return rate_field(sys.motion_kernel(), names, energy_at=-1)
 
 
 def poisson_data(model, x, p):

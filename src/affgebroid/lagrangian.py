@@ -6,13 +6,14 @@ the reference slot, 1..n the fibre block, n+1..2n the vertical block.
 
 A system evaluates L through compiled kernels, see _EnergySystem.kernel.
 The "el" kernel returns the base velocity, the right side r of W xi = r,
-the fibre Hessian W and the momentum-equation right side; it builds the
-momentum equation with model.motion_trees, the builder of the Hamilton
-motion.  The "legendre" kernel returns L, dL/dy and W for the Legendre map
-and the energy.  When W depends on the point, a generated LU solves for xi
-on every call and the Legendre inverse runs a Newton.  When the W trees fold
-to literals and W is regular (constant_hessian), solve_trees factors W once,
-as the kernels compile: the "el" kernel also returns xi, and the Legendre
+the fibre Hessian W, the momentum-equation right side and, last, L, which
+it evaluates anyway as a checked step; it builds the momentum equation with
+model.motion_trees, the builder of the Hamilton motion.  The "legendre"
+kernel returns L, dL/dy and W for the Legendre map and the energy.  When W
+depends on the point, a generated LU solves for xi on every call and the
+Legendre inverse runs a Newton.  When the W trees fold to literals and W is
+regular (constant_hessian), solve_trees factors W once, as the kernels
+compile: the "el" kernel also returns xi, before L, and the Legendre
 inverse and the induced Hamiltonian get kernels of their own.  A
 HamiltonianSystem compiles its "legendre" kernel (H, dH/dp, W_H) with the
 same builder.  The regularity rule is the LU's: W is regular when its 1-norm
@@ -51,9 +52,10 @@ class _EnergySystem:
         Over (base, fibre) values, kind "legendre" returns the energy E,
         dE/dfibre and its fibre Hessian W row-major; "el" (L only) the base
         velocity vel, r = rhs - vel d2L/dxdy, W, the momentum-equation right
-        side rhs and, for a constant W, xi; "motion" (H only) xdot, pdot and
-        dH/dp.  Over (x, p), for a constant W: "inverse" the y with
-        dL/dy(x, y) = p, and "induced" the "motion" of the image of L."""
+        side rhs, for a constant W xi, and last L; "motion" (H only) xdot,
+        pdot, dH/dp and last H.  Over (x, p), for a constant W: "inverse"
+        the y with dL/dy(x, y) = p, and "induced" the "motion" of the image
+        of L, with H = p.y - L last."""
         k = self._kernels.get(kind)
         if k is None:
             k = self._kernels[kind] = self._compile(kind)
@@ -89,8 +91,9 @@ class _EnergySystem:
                 return compile_trees(y, names)
             at_y = dict(zip(f.variables[m:], y))
             dhdx = [tree_negate(rebuild(d.ast, at_y)) for d in grad[:m]]
-            steps = model.structure_steps() + [(rebuild(f.ast, at_y), True)]
-            return compile_trees(motion_trees(model.structure_trees(), dhdx, y, p), names, steps)
+            lval = rebuild(f.ast, at_y)
+            outputs = motion_trees(model.structure_trees(), dhdx, y, p) + [_dual_value(p, y, lval)]
+            return compile_trees(outputs, names, model.structure_steps() + [(lval, True)])
         d2xy = [[hess(i, m + a) for a in range(n)] for i in range(m)]
         partials = [d.ast for d in grad] + [t for row in d2xy for t in row] + upper
         steps = model.structure_steps() + [(f.ast, True)] + [(t, False) for t in partials]
@@ -103,7 +106,7 @@ class _EnergySystem:
         drift = [tree_sum(tree_op("*", vel[i], d2xy[i][a]) for i in range(m)) for a in range(n)]
         r = [tree_sum([rhs[a], tree_negate(drift[a])]) for a in range(n)]
         xi = [] if self.constant_hessian is None else solve_trees(self.constant_hessian, r)
-        return compile_trees(vel + r + w_flat + rhs + xi, f.variables, steps)
+        return compile_trees(vel + r + w_flat + rhs + xi + [f.ast], f.variables, steps)
 
     def evaluate(self, kind, x, y):
         """The kernel of that kind at (x, y)."""
@@ -251,6 +254,11 @@ def solve_trees(w, b):
     return b
 
 
+def _dual_value(p, y, lval):
+    # the tree of H = p.y - L, the sum left to right
+    return tree_op("-", tree_sum(tree_op("*", pa, ya) for pa, ya in zip(p, y)), lval)
+
+
 def _fibre_solve(w, b):
     # xi from the flat W and b, refused when W is singular under the rule
     xi, cond = fibre_lu(len(b))(w, b)
@@ -368,19 +376,22 @@ def el_section(sys, point):
 
 def el_vector_field(sys):
     """Autonomous field on (x, y) space integrating the dynamics:
-    xdot = anchor drift, ydot = xi from the momentum equation: the last
-    block of the "el" kernel for a constant W, else the LU solve."""
+    xdot = anchor drift, ydot = xi from the momentum equation, with L as
+    its energy.  For a constant W its kernel is the "el" kernel itself, the
+    rate read from vel and xi; otherwise the "el" kernel followed by the LU
+    solve, returning vel, xi and L."""
     m, n = sys.model.chart.dim_base, sys.model.chart.fibre_dim
     kernel, w_end = sys.kernel("el"), m + n + n * n
-    closed = sys.constant_hessian is not None
+    names = sys.lagrangian.variables
+    if sys.constant_hessian is not None:
+        positions = list(range(m)) + list(range(w_end + n, w_end + 2 * n))
+        return rate_field(kernel, names, positions, energy_at=-1)
 
-    def rate(state):
+    def solved(*state):
         out = kernel(*state)
-        if closed:
-            return out[:m] + out[w_end + n :]
-        return out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n])
+        return out[:m] + _fibre_solve(out[m + n : w_end], out[m : m + n]) + out[-1:]
 
-    return rate_field(rate, sys.lagrangian.variables)
+    return rate_field(solved, names, energy_at=-1)
 
 
 def energy(sys, point):

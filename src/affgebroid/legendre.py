@@ -21,7 +21,7 @@ from .errors import NewtonDivergence, SingularLagrangian
 from .expressions import Var, compile_trees, float_args
 from .flow import integrate_rk4
 from .hamiltonian import hamilton_vector_field
-from .lagrangian import _fibre_solve, el_vector_field
+from .lagrangian import _dual_value, _fibre_solve, el_vector_field
 from .model import APoint, VStarPoint, motion_trees
 
 
@@ -99,12 +99,12 @@ def leg_inverse(sys, v, guess=None, params=None):
 
 class InducedHamiltonian:
     """Legendre image of a Lagrangian as a live Hamiltonian: value, grad,
-    fibre_hessian, motion and rate as a HamiltonianSystem has them, read at
-    the velocity leg_inverse matches to p.  The Newton solve keeps a
-    warm-start cache, which saves iterations along continuous paths.  Where
-    Newton starts changes the matched velocity by rounding, within the
-    Newton tol, so results can depend on the order of earlier calls at that
-    level; the same call sequence reproduces exactly."""
+    fibre_hessian, motion and motion_kernel as a HamiltonianSystem has
+    them, read at the velocity leg_inverse matches to p.  The Newton solve
+    keeps a warm-start cache, which saves iterations along continuous
+    paths.  Where Newton starts changes the matched velocity by rounding,
+    within the Newton tol, so results can depend on the order of earlier
+    calls at that level; the same call sequence reproduces exactly."""
 
     def __init__(self, lag_sys, params=None):
         self.model = lag_sys.model
@@ -128,13 +128,14 @@ class InducedHamiltonian:
         return float(np.asarray(p, float) @ y) - out[0]
 
     def _grad(self, x, p):
-        # dH/dx = -dL/dx and dH/dp = y at the matched velocity y, as lists
+        # dH/dx = -dL/dx and dH/dp = y at the matched velocity y, as lists,
+        # and L there
         y, _ = self._match(x, p)
         dl = self.lag.lagrangian._kernel(1)(*x, *y)
-        return [-d for d in dl[1 : 1 + len(x)]], y
+        return [-d for d in dl[1 : 1 + len(x)]], y, dl[0]
 
     def grad(self, x, p):
-        return tuple(map(np.array, self._grad(*_floats(self.lag, x, p))))
+        return tuple(map(np.array, self._grad(*_floats(self.lag, x, p))[:2]))
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
@@ -143,33 +144,36 @@ class InducedHamiltonian:
         w = out[1 + len(y) :]
         return np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
 
-    def motion(self, state):
-        """As HamiltonianSystem.motion, from the same trees: the "induced"
-        kernel for a constant W, else with the structure values, dH/dx and
-        dH/dp as free variables, evaluated before the Newton solve."""
-        chart = self.model.chart
-        return self._motion(float_args(state, chart.base_names + chart.dual_names))
-
-    def _motion(self, state):
+    def motion_kernel(self):
+        """The motion kernel, positional over (x, p), from the trees of
+        HamiltonianSystem.motion, with H = p.y - L last: the "induced"
+        kernel of the Lagrangian for a constant W, else the motion trees with
+        the structure values, dH/dx, dH/dp and L as free variables,
+        evaluated before the Newton solve."""
         if self.lag.constant_hessian is not None:
-            return self.lag.kernel("induced")(*state)
+            return self.lag.kernel("induced")
+        return self._newton_motion
+
+    def motion(self, state):
+        """The motion kernel at the state (x, p)."""
+        chart = self.model.chart
+        return self.motion_kernel()(*float_args(state, chart.base_names + chart.dual_names))
+
+    def _newton_motion(self, *state):
         model = self.model
         m, n = model.chart.dim_base, model.chart.fibre_dim
         x, p = state[:m], state[m:]
         values = model.structure_values(x)
-        dhdx, dhdp = self._grad(x, p)
+        dhdx, dhdp, lval = self._grad(x, p)
         if self._kernel is None:
             gx = [Var("gx%d" % i) for i in range(m)]
             gp = [Var("gp%d" % a) for a in range(n)]
             pv = [Var("p%d" % a) for a in range(n)]
-            names = ["s%d" % k for k in range(len(values))] + [v.name for v in pv + gx + gp]
+            lv = Var("l")
+            names = ["s%d" % k for k in range(len(values))] + [v.name for v in pv + gx + gp + [lv]]
             trees = motion_trees(model.structure_trees(free=True), gx, gp, pv)
-            self._kernel = compile_trees(trees, names)
-        return self._kernel(*values, *p, *dhdx, *dhdp)
-
-    def rate(self, state):
-        """xdot and pdot at the state, a list of floats (x, p)."""
-        return self._motion(state)[: len(state)]
+            self._kernel = compile_trees(trees + [_dual_value(pv, gp, lv)], names)
+        return self._kernel(*values, *p, *dhdx, *dhdp, lval)
 
 
 def l_from_h(sys, a, section=None, guess=None, params=None):
@@ -209,6 +213,7 @@ def flow_commutation_check(ham, a0, t1, dt):
     h_traj = integrate_rk4(
         hamilton_vector_field(ham), np.concatenate([v0.x, v0.p]), 0.0, t1, dt
     )
-    images = [leg(lag, APoint(s[:m], s[m:])) for s in el_traj.states]
-    gaps = np.array([np.concatenate([v.x, v.p]) for v in images]) - h_traj.states
-    return float(np.max(np.abs(gaps)))
+    # the image of a state (x, y) is (x, dL/dy), one "legendre" kernel call
+    kernel, n = lag.kernel("legendre"), lag.model.chart.fibre_dim
+    images = [s[:m] + list(kernel(*s)[1 : 1 + n]) for s in el_traj.states.tolist()]
+    return float(np.max(np.abs(np.array(images) - h_traj.states)))

@@ -306,11 +306,43 @@ def test_simulate_matches_tree_interpreter(tmp_path, monkeypatch):
         del built[:]
         assert main(["simulate", str(cfg), "--mode", mode, "--out", str(interpreted)]) == 0
         # the fused field kernel went through the stand-in: (vel, r, W, rhs,
-        # xi), every shipped L having a constant W, or (xdot, pdot, dH/dp)
+        # xi, L), every shipped L having a constant W, or (xdot, pdot, dH/dp,
+        # H)
         chart = load_config(cfg).chart
         m, n = chart.dim_base, chart.fibre_dim
-        assert (m + 3 * n + n * n if mode == "lagrangian" else m + 2 * n) in built, (cfg.name, mode)
+        outputs = m + 3 * n + n * n + 1 if mode == "lagrangian" else m + 2 * n + 1
+        assert outputs in built, (cfg.name, mode)
         assert interpreted.read_bytes() == out.read_bytes(), (cfg.name, mode)
+
+
+@pytest.mark.parametrize("mode", ["lagrangian", "hamiltonian"])
+def test_simulate_reads_the_energy_column_from_the_field(tmp_path, monkeypatch, mode):
+    # the L or H column is the energy the field kernel returns with each
+    # slope and at the final state: no ScalarField.eval call, and no value
+    # kernel compiled
+    from affgebroid.expressions import ScalarField
+
+    calls = []
+    real = ScalarField.eval
+    monkeypatch.setattr(ScalarField, "eval", lambda self, v: calls.append(v) or real(self, v))
+    for cfg in (OSC, RIGID, MAGNETIC):
+        bundle = load_config(cfg)
+        monkeypatch.setattr(cli, "load_config", lambda path, bundle=bundle: bundle)
+        assert main(["simulate", cfg, "--mode", mode, "--out", str(tmp_path / "o.csv")]) == 0
+        energy = bundle.lag_sys.lagrangian if mode == "lagrangian" else bundle.ham_sys.hamiltonian
+        assert 0 not in energy._kernels
+    assert calls == []
+
+
+def test_a_second_simulate_of_one_dimension_generates_no_step(tmp_path):
+    from affgebroid import flow
+
+    out = str(tmp_path / "o.csv")
+    for mode in ("lagrangian", "hamiltonian"):
+        assert main(["simulate", RIGID, "--mode", mode, "--out", out]) == 0
+        generated = flow._stepper.cache_info().misses
+        assert main(["simulate", RIGID, "--mode", mode, "--out", out]) == 0
+        assert flow._stepper.cache_info().misses == generated
 
 
 def test_load_config_compiles_nothing():
@@ -892,7 +924,8 @@ def test_singular_constant_fibre_hessian_fails_on_every_command(
     tmp_path, capsys, lagrangian, cond
 ):
     # a constant W that fails the regularity rule gets no closed form: the
-    # commands fail as every fibre solve refuses it
+    # commands fail as every fibre solve refuses it, and every legendre cell
+    # is singular, those at p = 0 too, where the Newton takes no step
     cfg = drifted_plane_config(None)
     del cfg["hamiltonian"]
     cfg["lagrangian"] = lagrangian
@@ -902,11 +935,35 @@ def test_singular_constant_fibre_hessian_fails_on_every_command(
     assert capsys.readouterr().err == "numeric failure: %s\n" % error
     assert main(["legendre", path, "--grid", "y1=0:1:2,y2=0:1:2"]) == 1
     rows = capsys.readouterr().out.splitlines()[2:6]
-    assert [ln.split()[-1] for ln in rows] == ["ok", "ok", "singular", "singular"]
+    assert [ln.split()[-1] for ln in rows] == ["singular"] * 4
     assert main(["check", path]) == 1
     rows = check_rows(capsys.readouterr().out)
     for name in ("submanifold_match", "flow_commutation"):
         assert rows[name] == "%-26s error: %s FAIL" % (name, error)
+
+
+@pytest.mark.parametrize("lagrangian", ["0.5*y1^2", "0.5*y1^2 + 0.25*y2^4"])
+def test_legendre_cell_with_a_singular_w_is_singular_where_newton_takes_no_step(
+    tmp_path, capsys, lagrangian
+):
+    # at p = 0 the Newton starts at its root and returns with no step, so
+    # no fibre solve meets W: the cell itself applies the regularity rule.
+    # The first W is constant and singular, the second singular at y2 = 0
+    cfg = drifted_plane_config(None)
+    del cfg["hamiltonian"]
+    cfg["lagrangian"] = lagrangian
+    assert main(["legendre", write_config(tmp_path, cfg), "--grid", "y1=0:0:1,y2=0:1:2"]) == 1
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[2:4]]
+    det = "0" if lagrangian == "0.5*y1^2" else "3"
+    assert rows == [["0", "0", "nan", "0", "singular"], ["0", "1", "nan", det, "singular"]]
+
+
+def test_legendre_on_a_constant_w_applies_the_rule_once(monkeypatch, capsys):
+    # a constant W passed the regularity rule when the system took it, with
+    # its one LU: the cells of the grid make none
+    calls = _count_newton_and_lu(monkeypatch)
+    assert main(["legendre", RIGID, "--grid", "y1=-1:1:3,y2=-1:1:3,y3=-1:1:3"]) == 0
+    assert calls == {"newton": 0, "lu": 1}
 
 
 def _count_newton_and_lu(monkeypatch):

@@ -11,7 +11,8 @@ from affgebroid.hamiltonian import (
     cosymplectic_check_h,
     hamilton_vector_field,
 )
-from affgebroid.lagrangian import LagrangianSystem
+from affgebroid.flow import integrate_rk4
+from affgebroid.lagrangian import LagrangianSystem, el_vector_field
 from affgebroid.legendre import (
     InducedHamiltonian,
     NewtonParams,
@@ -108,10 +109,10 @@ def _quartic_entry():
 @pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), _quartic_entry()],
                          ids=lambda e: e.name)
 def test_induced_rate_converts_its_state_once(ent, monkeypatch):
-    # rate runs on the integrator's float list.  For a constant W it is one
-    # compiled kernel and converts nothing; on the Newton path only
-    # structure_values converts x.  motion converts the state once more on
-    # entry
+    # the motion kernel runs on the integrator's floats.  For a constant W
+    # it is one compiled kernel and converts nothing; on the Newton path
+    # only structure_values converts x.  motion converts the state once
+    # more on entry
     from affgebroid import expressions, flow, hamiltonian, lagrangian, legendre, model
 
     newton = ent.lag.constant_hessian is None
@@ -119,7 +120,7 @@ def test_induced_rate_converts_its_state_once(ent, monkeypatch):
     ham = InducedHamiltonian(ent.lag)
     v = sample_v(ent, 1, seed=4)[0]
     state = np.concatenate([v.x, v.p]).tolist()
-    ham.rate(state)  # compiles the kernels and warms the Newton start
+    ham.motion_kernel()(*state)  # compiles the kernels and warms the Newton start
     calls = []
 
     def counted(values, variables, real=expressions.float_args):
@@ -128,7 +129,7 @@ def test_induced_rate_converts_its_state_once(ent, monkeypatch):
 
     for mod in (expressions, flow, hamiltonian, lagrangian, legendre, model):
         monkeypatch.setattr(mod, "float_args", counted)
-    ham.rate(state)
+    ham.motion_kernel()(*state)
     assert len(calls) == (1 if newton else 0)
     calls.clear()
     ham.motion(np.array(state))
@@ -250,6 +251,26 @@ def test_flow_commutation(maker):
     rng = np.random.default_rng(10)
     a0 = ent.model.chart.sample_a(rng)
     assert flow_commutation_check(ham, a0, 1.0, 1e-3) < 1e-5
+
+
+@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), _quartic_entry()],
+                         ids=lambda e: e.name)
+def test_flow_commutation_reads_the_images_of_leg(ent):
+    # the images of the Lagrangian states come from one "legendre" kernel
+    # call per state: leg's images, bit for bit, so the gap is the same
+    a0 = sample_a(ent, 1, seed=21)[0]
+
+    def with_leg(ham):
+        m = ent.model.chart.dim_base
+        el = integrate_rk4(el_vector_field(ent.lag), np.concatenate([a0.x, a0.y]), 0.0, 0.2, 1e-2)
+        v0 = leg(ent.lag, a0)
+        h = integrate_rk4(hamilton_vector_field(ham), np.concatenate([v0.x, v0.p]), 0.0, 0.2, 1e-2)
+        images = [leg(ent.lag, APoint(s[:m], s[m:])) for s in el.states]
+        gaps = np.array([np.concatenate([v.x, v.p]) for v in images]) - h.states
+        return float(np.max(np.abs(gaps)))
+
+    got = flow_commutation_check(InducedHamiltonian(ent.lag), a0, 0.2, 1e-2)
+    assert got == with_leg(InducedHamiltonian(ent.lag))
 
 
 def test_newton_rejects_a_trial_with_a_nan_residual():
