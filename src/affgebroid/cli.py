@@ -463,16 +463,18 @@ def cmd_legendre(args):
     all_ok = True
     mesh = np.meshgrid(*axes, indexing="ij")
     cells = np.stack([g.ravel() for g in mesh], axis=-1)
+    const = sys_obj.constant_hessian  # W at every cell, its determinant taken once
+    det_w = None if const is None else float(np.linalg.det(np.reshape(const, (len(names),) * 2)))
     for y in cells:
         status = "ok"
         err = float("nan")
         det = float("nan")
         try:
             _, p, w = sys_obj.legendre_data(x0, y)
-            det = float(np.linalg.det(w))
+            det = float(np.linalg.det(w)) if det_w is None else det_w
             # a Newton that starts at its root takes no step, so no fibre
             # solve meets W there; a constant W passed the rule already
-            if sys_obj.constant_hessian is None and not regularity(w)[0]:
+            if const is None and not regularity(w)[0]:
                 raise SingularLagrangian("fibre Hessian singular")
             v = VStarPoint(x0, p)
             back = leg_inverse(sys_obj, v, params=bundle.newton)

@@ -373,8 +373,16 @@ def compile_trees(outputs, variables, steps=()):
     operand.update((("var", name), _literal(v)) for name, v in _CONSTANTS.items())
     lines = []
     divides = False
+    walked = {}  # id -> (node, operand) of each node walked, kept alive
 
     def emit(node):
+        # a node met again, as a shared subtree is, is not walked again
+        hit = walked.get(id(node))
+        if hit is None:
+            hit = walked[id(node)] = node, walk(node)
+        return hit[1]
+
+    def walk(node):
         nonlocal divides
         whole_power = False
         t = type(node)
@@ -418,6 +426,7 @@ def compile_trees(outputs, variables, steps=()):
         if checked and not (value is not None and math.isfinite(value)):
             lines.append("if not _isfinite(%s): raise _nonfinite(%s, %d)" % (out, out, i))
     outs = [emit(tree) for tree in outputs]
+    emit = walk = None  # they call each other: a cycle that would keep walked
     lines.append("return (%s)" % "".join(o + ", " for o in outs))
     if divides:
         # Python's float division raises ZeroDivisionError exactly where the

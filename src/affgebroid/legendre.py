@@ -112,6 +112,7 @@ class InducedHamiltonian:
         self.params = params or NewtonParams()
         self._warm = None
         self._kernel = None
+        self._w_inv = None
 
     def _match(self, x, p):
         # the velocity y with dL/dy(x, y) = p (Newton starts at the last
@@ -139,10 +140,12 @@ class InducedHamiltonian:
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
-        regularity rule of the fibre solves."""
+        regularity rule of the fibre solves; a constant W is solved once."""
         y, out = self._match(*_floats(self.lag, x, p))
-        w = out[1 + len(y) :]
-        return np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
+        if self._w_inv is None or self.lag.constant_hessian is None:
+            w = out[1 + len(y) :]
+            self._w_inv = np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
+        return self._w_inv.copy()
 
     def motion_kernel(self):
         """The motion kernel, positional over (x, p), from the trees of

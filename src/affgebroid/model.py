@@ -10,15 +10,19 @@ the storage layout enforces rather than checks.
 The structure has one layout, the flat order of structure_values: rho0,
 rho, c0, then c with both halves (C_ba^g = -C_ab^g, zero diagonal), each
 row-major.  structure_grad_values gives the m partials of each of those
-entries in turn.  One splitter turns either into StructureValues arrays,
-and validate_structure alone lays them out over the indices 0..n.
+entries in turn.  One splitter turns either, or their trees, into
+StructureValues arrays.  Only the residual kernel of validate_structure
+lays them out over the indices 0..n; it is compiled on first use and kept
+on the model, like the kernels of the structure values.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from math import prod
 
 import numpy as np
 
+from .errors import DomainError
 from .expressions import (
     Neg,
     Num,
@@ -42,7 +46,7 @@ class Chart:
     boxes so tests and the CLI stay inside the declared domain.
     """
 
-    __slots__ = ("base_names", "fibre_dim", "base_box", "fibre_box", "dual_box")
+    __slots__ = ("base_names", "fibre_dim", "base_box", "fibre_box", "dual_box", "_bounds")
 
     def __init__(self, base_names, fibre_dim, base_box=None, fibre_box=None, dual_box=None):
         self.base_names = tuple(base_names)
@@ -64,6 +68,7 @@ class Chart:
         self.base_box = self._check_box(base_box, m, "base")
         self.fibre_box = self._check_box(fibre_box, n, "fibre")
         self.dual_box = self._check_box(dual_box, n, "dual") if dual_box is not None else self.fibre_box
+        self._bounds = {}  # box -> its lower ends and widths, from its first draw
 
     @staticmethod
     def _check_box(box, k, what):
@@ -89,8 +94,15 @@ class Chart:
     def dual_names(self):
         return tuple("p%d" % (a + 1) for a in range(self.fibre_dim))
 
-    def _draw(self, rng, box):
-        return np.array([rng.uniform(lo, hi) for lo, hi in box])
+    def _draw(self, rng, box, k=None):
+        # a point, or k rows of them, from one call: lo + (hi - lo) u is
+        # rng.uniform(lo, hi) at the double u, so the floats and the generator
+        # state are those of scalar draws in row-major order
+        if box not in self._bounds:
+            lo, hi = np.array(box).T
+            self._bounds[box] = lo, hi - lo
+        lo, span = self._bounds[box]
+        return lo + span * rng.random(len(box) if k is None else (k, len(box)))
 
     def sample_base(self, rng):
         return self._draw(rng, self.base_box)
@@ -210,9 +222,11 @@ class AffgebroidModel:
             self.c[(a, b)] = bind_row(row, n, names, "c[%r]" % (key,))
         self._const = all(f.is_constant() for f in self._fields())
         self._cache = None
-        # compiled on first use by structure_values and structure_grad_values
+        # compiled on first use by structure_values, structure_grad_values
+        # and validate_structure
         self._values_kernel = None
         self._grad_kernel = None
+        self._residuals = None
 
     def _fields(self):
         # every structure field in declaration order: rho0, rho, c0, then c
@@ -291,20 +305,25 @@ class AffgebroidModel:
     def structure_grad_values(self, x):
         """d/dx of structure_values at x as one flat tuple of floats: the m
         partials of each entry of the flat layout in turn."""
-        names = self.chart.base_names
         if self._grad_kernel is None:
-            # per base-dependent field in declaration order, its checked value
-            # then its partials, as value_grad runs them; a constant field's
-            # partials are zeros, as d/dx of a constant like 1/0 may raise
-            def partials(f):
-                return [Num(0.0) if f.is_constant() else f._partial(i).ast for i in range(len(names))]
+            grads, steps = self._grad_trees()
+            self._grad_kernel = compile_trees(grads, self.chart.base_names, steps)
+        return self._grad_kernel(*float_args(x, self.chart.base_names))
 
-            steps = []
-            for f in self._fields():
-                if not f.is_constant():
-                    steps += [(f.ast, True)] + [(d, False) for d in partials(f)]
-            self._grad_kernel = compile_trees(self._flat_trees(partials), names, steps)
-        return self._grad_kernel(*float_args(x, names))
+    def _grad_trees(self):
+        # the m partials of each flat entry, and per base-dependent field its
+        # checked value then its partials, as value_grad runs them; a constant
+        # field's partials are zeros, as d/dx of a constant like 1/0 may raise
+        m = self.chart.dim_base
+
+        def partials(f):
+            return [Num(0.0) if f.is_constant() else f._partial(i).ast for i in range(m)]
+
+        steps = []
+        for f in self._fields():
+            if not f.is_constant():
+                steps += [(f.ast, True)] + [(d, False) for d in partials(f)]
+        return self._flat_trees(partials), steps
 
 
 def motion_trees(s, dhdx, dhdp, p):
@@ -372,21 +391,50 @@ class ValidationReport:
         )
 
 
-# samples per einsum block: the Jacobi tensor of a block holds
-# _BLOCK * (n+1)^4 floats, so memory stays flat in the sample count
-_BLOCK = 32
+def _residual_kernel(model):
+    # (kernel, k): the kernel's first k outputs are the anchor residuals over
+    # I <= J, the rest the Jacobi ones over I <= J <= K, those that fold to 0
+    # left out.  A repeated index gives 0 up to rounding, or a non-finite
+    # value where a term overflows; each group leads with the sum of d - d
+    # over the partials d of its fields, not finite where one is not, which
+    # a literal factor 0 may have folded away.  The steps are the structure's
+    # values, then the partials, so the kernel raises what reading them raises
+    m, n = model.chart.dim_base, model.chart.fibre_dim
+    grads, grad_steps = model._grad_trees()
 
+    def lay_out(flat, tail=()):
+        # rho_I (n+1, m, ...) and C_IJ^K (n+1, n+1, n+1, ...) of the flat
+        # trees, slot 0 being e_0
+        s = model._split(np.fromiter(flat, dtype=object, count=len(flat)), tail)
+        c = np.full((n + 1,) * 3 + tail, Num(0.0), dtype=object)
+        c[0, 1:, 1:] = s.c0
+        c[1:, 0, 1:] = np.frompyfunc(tree_negate, 1, 1)(s.c0)
+        c[1:, 1:, 1:] = s.c
+        return np.concatenate([s.rho0[None], s.rho]), c
 
-def _embed(s):
-    # rho_I^j (k, n+1, m, ...) and C_IJ^K (k, n+1, n+1, n+1, ...), slot 0 being
-    # e_0, from StructureValues with a leading block axis k and trailing axes
-    k, n = s.c0.shape[:2]
-    rho = np.concatenate([s.rho0[:, None], s.rho], axis=1)
-    c = np.zeros((k, n + 1, n + 1, n + 1) + s.c0.shape[3:])
-    c[:, 0, 1:, 1:] = s.c0
-    c[:, 1:, 0, 1:] = -s.c0
-    c[:, 1:, 1:, 1:] = s.c
-    return rho, c
+    def dot(u, v):
+        # a literal factor 0 adds a zero, which changes no residual's size
+        return tree_sum(tree_op("*", a, b) for a, b in zip(u, v)
+                        if 0.0 not in (literal_value(a), literal_value(b)))
+
+    def guard(fields):
+        return tree_sum(tree_op("-", f._partial(i).ast, f._partial(i).ast)
+                        for f in fields if not f.is_constant() for i in range(m))
+
+    rho, c = lay_out(model._flat_trees())
+    drho, dc = lay_out(grads, (m,))
+    indices = range(n + 1)
+    anchor = (tree_op("-", tree_op("-", dot(rho[i], drho[j, k]), dot(rho[j], drho[i, k])),
+                      dot(c[i, j], rho[:, k]))
+              for i, j in combinations_with_replacement(indices, 2) for k in range(m))
+    jacobi = (tree_sum(t for a, b, e in ((i, j, k), (j, k, i), (k, i, j))
+                       for t in (dot(rho[a], dc[b, e, g]), dot(c[a, :, g], c[b, e])))
+              for i, j, k in combinations_with_replacement(indices, 3) for g in indices[1:])
+    fields = list(model._fields())
+    anchor = [guard(fields[: (n + 1) * m])] + [t for t in anchor if literal_value(t) != 0.0]
+    jacobi = [guard(fields[(n + 1) * m :])] + [t for t in jacobi if literal_value(t) != 0.0]
+    steps = model.structure_steps() + [(t, False) for t, _ in grad_steps]
+    return compile_trees(anchor + jacobi, model.chart.base_names, steps), len(anchor)
 
 
 def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
@@ -397,38 +445,34 @@ def validate_structure(model, sample_points=None, tol=1e-8, samples=50, seed=0):
     Jacobi residual, all I, J, K, target L:
         sum over cyclic (I,J,K) of [rho_I^i d(C_JK^L)/dx^i + C_IM^L C_JK^M]
     Both are antisymmetric in their lower indices, so the max over all index
-    tuples is the max over I < J (< K).  A non-finite residual fails.
-    The flat values and gradients of the structure are read once per point
-    and split once per block of _BLOCK points.
+    tuples is the max over I <= J (<= K), up to rounding.  A non-finite
+    residual fails.  The residuals at a point are one call of a kernel
+    compiled from the structure trees and their partials on first use per
+    model; the sample points are one draw.
     """
+    chart = model.chart
     if sample_points is None:
-        rng = np.random.default_rng(seed)
-        sample_points = [model.chart.sample_base(rng) for _ in range(samples)]
-    points = [np.asarray(x, dtype=float) for x in sample_points]
-    if not points:
+        points = chart._draw(np.random.default_rng(seed), chart.base_box, max(samples, 0))
+    else:
+        points = [np.asarray(x, dtype=float) for x in sample_points]
+    if not len(points):
         raise ValueError("structure validation needs at least one sample point")
-    anchor, jacobi = [], []
-    for start in range(0, len(points), _BLOCK):
-        block = points[start : start + _BLOCK]
-        values = np.array([model.structure_values(x) for x in block])
-        grads = np.array([model.structure_grad_values(x) for x in block])
-        rho, cf = _embed(model._split(values))  # (k, N, m), (k, N, N, N); N = n + 1
-        rg, cg = _embed(model._split(grads, (model.chart.dim_base,)))  # (k, N, m, m), (k, N, N, N, m)
-        res = (
-            np.einsum("kIi,kJji->kIJj", rho, rg)
-            - np.einsum("kJi,kIji->kIJj", rho, rg)
-            - np.einsum("kIJK,kKj->kIJj", cf, rho)
-        )
-        anchor.append(np.abs(res).reshape(len(block), -1).max(axis=1))
-        lie = np.einsum("kIi,kJKLi->kIJKL", rho, cg)
-        alg = np.einsum("kIML,kJKM->kIJKL", cf, cf)
-        res = np.zeros_like(lie)
-        for cyc in ("kIJKL->kIJKL", "kJKIL->kIJKL", "kKIJL->kIJKL"):
-            res += np.einsum(cyc, lie)
-            res += np.einsum(cyc, alg)
-        jacobi.append(np.abs(res).reshape(len(block), -1).max(axis=1))
-    anchor = np.concatenate(anchor)
-    jacobi = np.concatenate(jacobi)
+    if model._residuals is None:
+        model._residuals = _residual_kernel(model)
+    kernel, k = model._residuals
+    rows = []
+    for i, x in enumerate(points):
+        try:
+            rows.append(kernel(*float_args(x, chart.base_names)))
+        except (DomainError, ValueError):
+            # the error is the first met reading the values of each block
+            # of 32 points before their partials: a value that fails later
+            # in this block comes before a partial that fails here
+            for y in points[i : i - i % 32 + 32]:
+                model.structure_values(y)
+            raise
+    res = np.abs(rows)
+    anchor, jacobi = res[:, :k].max(axis=1), res[:, k:].max(axis=1)
     # argmax lands on the first NaN, and np.max propagates it
     ia, ij = int(np.argmax(anchor)), int(np.argmax(jacobi))
     return ValidationReport(

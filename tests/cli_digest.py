@@ -3,10 +3,11 @@ the package byte for byte.
 
     PYTHONPATH=src python tests/cli_digest.py [CONFIG ...]
 
-Runs check, validate, legendre and simulate (both modes), and atiyah-expand
-on configs with an "atiyah" section, through affgebroid.cli.main in this
-process on each config, by default every configs/*.json,
-tests/fixtures/*.json and bench/broken_*.json, and prints
+Runs check, validate (with the default samples, and with 2000, which span
+many blocks of draws), legendre and simulate (both modes), and
+atiyah-expand on configs with an "atiyah" section, through
+affgebroid.cli.main in this process on each config, by default every
+configs/*.json, tests/fixtures/*.json and bench/broken_*.json, and prints
 one JSON line per operation: the argv (config paths relative to the repo
 root, the CSV path as OUT), the exit code, and the sha256 of stdout and
 stderr (with both paths shown the same way) and of the written file
@@ -74,7 +75,8 @@ def digest(configs):
         for cfg in configs:
             path = str(Path(cfg).resolve())
             shown = os.path.relpath(path, ROOT) if path.startswith(str(ROOT)) else path
-            ops = [["check", path], ["validate", path], ["legendre", path]]
+            ops = [["check", path], ["validate", path], ["validate", path, "--samples", "2000"],
+                   ["legendre", path]]
             ops += [["simulate", path, "--mode", mode, "--out", out]
                     for mode in ("lagrangian", "hamiltonian")]
             if _is_atiyah(path):

@@ -4,11 +4,14 @@ for the tests as references independent of the compiled kernels.
 c_value reads one bracket coefficient from its own field; embed lays
 structure values or gradients at a point out over the indices 0..n, slot 0
 being the reference direction e_0, and full_arrays does so for the values;
-fd_grad and fd_hess are central finite differences of a field, the
-independent check on its symbolic derivatives.
+validate_reference is the einsum route of validate_structure, with its
+scalar draws; fd_grad and fd_hess are central finite differences of a
+field, the independent check on its symbolic derivatives.
 """
 
 import numpy as np
+
+from affgebroid.model import ValidationReport
 
 
 def c_value(model, a, b, g, x):
@@ -40,6 +43,78 @@ def full_arrays(model, x):
     """The anchor rho_I^j, shape (n+1, m), and the bracket C_IJ^K, shape
     (n+1, n+1, n+1), at x."""
     return embed(model.structure_at(x))
+
+
+# samples per einsum block: the Jacobi tensor of a block holds
+# _BLOCK * (n+1)^4 floats, so memory stays flat in the sample count
+_BLOCK = 32
+
+
+def _embed_block(s):
+    # embed over a leading block axis k
+    k, n = s.c0.shape[:2]
+    rho = np.concatenate([s.rho0[:, None], s.rho], axis=1)
+    c = np.zeros((k, n + 1, n + 1, n + 1) + s.c0.shape[3:])
+    c[:, 0, 1:, 1:] = s.c0
+    c[:, 1:, 0, 1:] = -s.c0
+    c[:, 1:, 1:, 1:] = s.c
+    return rho, c
+
+
+def einsum_residuals(model, points, terms=False):
+    """Per point, the anchor and Jacobi residuals as the einsum route
+    computes them, max over every index tuple: the flat values and
+    gradients of the structure read once per point, the values of a block
+    of _BLOCK points before its gradients, and split once per block.  With
+    terms=True, per point the largest sum of the absolute values of the
+    terms of one residual instead, the scale of its rounding error."""
+    anchor, jacobi = [], []
+    ops = np.abs if terms else (lambda a: a)
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        values = np.array([model.structure_values(x) for x in block])
+        grads = np.array([model.structure_grad_values(x) for x in block])
+        rho, cf = map(ops, _embed_block(model._split(values)))
+        rg, cg = map(ops, _embed_block(model._split(grads, (model.chart.dim_base,))))
+        sign = 1.0 if terms else -1.0
+        res = (
+            np.einsum("kIi,kJji->kIJj", rho, rg)
+            + sign * np.einsum("kJi,kIji->kIJj", rho, rg)
+            + sign * np.einsum("kIJK,kKj->kIJj", cf, rho)
+        )
+        anchor.append(np.abs(res).reshape(len(block), -1).max(axis=1))
+        lie = np.einsum("kIi,kJKLi->kIJKL", rho, cg)
+        alg = np.einsum("kIML,kJKM->kIJKL", cf, cf)
+        res = np.zeros_like(lie)
+        for cyc in ("kIJKL->kIJKL", "kJKIL->kIJKL", "kKIJL->kIJKL"):
+            res += np.einsum(cyc, lie)
+            res += np.einsum(cyc, alg)
+        jacobi.append(np.abs(res).reshape(len(block), -1).max(axis=1))
+    return np.concatenate(anchor), np.concatenate(jacobi)
+
+
+def validate_reference(model, sample_points=None, tol=1e-8, samples=50, seed=0):
+    """validate_structure by the einsum route, its points drawn one
+    coordinate at a time."""
+    if sample_points is None:
+        rng = np.random.default_rng(seed)
+        box = model.chart.base_box
+        sample_points = [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(samples)]
+    points = [np.asarray(x, dtype=float) for x in sample_points]
+    if not points:
+        raise ValueError("structure validation needs at least one sample point")
+    anchor, jacobi = einsum_residuals(model, points)
+    # argmax lands on the first NaN, and np.max propagates it
+    ia, ij = int(np.argmax(anchor)), int(np.argmax(jacobi))
+    return ValidationReport(
+        n_points=len(points),
+        tol=tol,
+        max_anchor=float(np.max(anchor)),
+        max_jacobi=float(np.max(jacobi)),
+        worst_anchor_point=points[ia],
+        worst_jacobi_point=points[ij],
+        per_point=list(zip(anchor.tolist(), jacobi.tolist())),
+    )
 
 
 def _shifted(base, *moves):

@@ -359,6 +359,54 @@ def test_load_config_compiles_nothing():
         assert bundle.ham_sys._kernels == {}
 
 
+def atiyah_config(spec):
+    """A config of the reduction spec (random_spec's, say), with the default
+    boxes and energies."""
+    r, names = spec.algebra_dim, spec.base_names
+    return {
+        "chart": {"base": list(names), "fibre_dim": spec.chart.fibre_dim},
+        "atiyah": {
+            "algebra_dim": r,
+            "c": {"%d,%d" % (a + 1, b + 1): spec.c[a, b].tolist()
+                  for a in range(r) for b in range(a + 1, r)},
+            "k0": [f.source for f in spec.k0],
+            "k": [[f.source for f in row] for row in spec.k],
+        },
+    }
+
+
+def test_load_config_generates_no_kernel_step_or_lu(tmp_path, monkeypatch):
+    # loading a config only parses: no kernel, no RK4 step and no LU is
+    # generated, wherever a module binds those builders
+    import importlib
+    import pkgutil
+
+    import affgebroid
+    from affgebroid.atiyah import random_spec
+
+    calls = []
+    for info in pkgutil.iter_modules(affgebroid.__path__):
+        module = importlib.import_module("affgebroid." + info.name)
+        for name in ("compile_trees", "_stepper", "fibre_lu"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                wrapped = lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+                monkeypatch.setattr(module, name, wrapped)
+    spec = random_spec(np.random.default_rng(3), m=2, algebra="so3")
+    paths = sorted(str(p) for pattern in ("configs/*.json", "tests/fixtures/*.json",
+                                          "bench/broken_*.json") for p in ROOT.glob(pattern))
+    paths.append(write_config(tmp_path, atiyah_config(spec)))
+    for path in paths:
+        try:
+            load_config(path)
+        except (cli.ConfigError, cli.JacobiViolation):
+            pass
+    assert calls == []
+    # the counters see a kernel built after loading
+    assert main(["validate", paths[-1], "--samples", "3"]) == 0
+    assert "compile_trees" in calls
+
+
 def test_simulate_missing_expression_exits_2(tmp_path, capsys):
     cfg = oscillator_config()
     del cfg["hamiltonian"]
@@ -398,6 +446,16 @@ def test_legendre_oscillator_hyperregular(capsys):
     out = capsys.readouterr().out
     assert "hyperregular on grid: yes" in out
     assert "diverged" not in out
+
+
+def test_legendre_takes_one_determinant_for_a_constant_w(monkeypatch, capsys):
+    # every cell of the rigid body has the constant W; its det is one number
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda w: calls.append(w) or det(w))
+    assert main(["legendre", RIGID]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count(" ok\n") > 1
 
 
 def test_legendre_singular_lagrangian_flagged(tmp_path, capsys):
@@ -848,11 +906,12 @@ def test_cli_digest_fingerprints_each_command(capsys):
     assert cli_digest.main([OSC]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     shown = "configs/oscillator.json"
-    argv = [[cmd, shown] for cmd in ("check", "validate", "legendre")]
+    argv = [["check", shown], ["validate", shown], ["validate", shown, "--samples", "2000"],
+            ["legendre", shown]]
     argv += [["simulate", shown, "--mode", m, "--out", "OUT"] for m in ("lagrangian", "hamiltonian")]
     assert [r["argv"] for r in records] == argv
-    assert [r["exit"] for r in records] == [0] * 5
-    assert [r["file"] is None for r in records] == [True] * 3 + [False] * 2
+    assert [r["exit"] for r in records] == [0] * 6
+    assert [r["file"] is None for r in records] == [True] * 4 + [False] * 2
     assert all(len(r[k]) == 64 for r in records for k in ("stdout", "stderr"))
     # a second run reproduces every fingerprint and the configs are only read
     assert cli_digest.digest([OSC]) == records
@@ -864,7 +923,7 @@ def test_cli_digest_expands_atiyah_configs():
 
     records = cli_digest.digest([MAGNETIC])
     assert [r["argv"][0] for r in records] == [
-        "check", "validate", "legendre", "simulate", "simulate", "atiyah-expand"
+        "check", "validate", "validate", "legendre", "simulate", "simulate", "atiyah-expand"
     ]
     assert records[-1]["argv"] == ["atiyah-expand", "configs/atiyah_magnetic.json", "--out", "OUT"]
     assert records[-1]["exit"] == 0 and len(records[-1]["file"]) == 64

@@ -389,3 +389,27 @@ def test_catalog_hamiltonian_is_the_legendre_image_of_its_lagrangian(ent):
     induced = InducedHamiltonian(ent.lag)
     for v in sample_v(ent, 20, seed=17):
         assert abs(ent.ham.value(v.x, v.p) - induced.value(v.x, v.p)) <= 1e-12
+
+
+@pytest.mark.parametrize("ent", [e for e in all_entries() if e.lag.constant_hessian is not None],
+                         ids=lambda e: e.name)
+def test_induced_fibre_hessian_solves_a_constant_w_once(ent, monkeypatch):
+    # W^-1 is the unit solves of the constant W, bit for bit, and no call
+    # after the first makes an LU
+    from affgebroid import lagrangian
+
+    n = ent.model.chart.fibre_dim
+    w = ent.lag.constant_hessian
+    want = np.array([lagrangian._fibre_solve(w, e) for e in np.eye(n).tolist()]).T
+    calls = []
+    lu = lagrangian.fibre_lu
+    monkeypatch.setattr(lagrangian, "fibre_lu", lambda k: calls.append(k) or lu(k))
+    ham = InducedHamiltonian(ent.lag)
+    points = sample_v(ent, 6, seed=21)
+    assert np.array_equal(ham.fibre_hessian(points[0].x, points[0].p), want)
+    first = len(calls)
+    for v in points[1:]:
+        got = ham.fibre_hessian(v.x, v.p)
+        assert np.array_equal(got, want)
+        got[0, 0] = np.nan  # a caller's copy
+    assert len(calls) == first

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from affgebroid.atiyah import random_spec, reduce
+from affgebroid.catalog import all_entries
 from affgebroid.model import (
     AffgebroidModel,
     APoint,
@@ -13,7 +16,7 @@ from affgebroid.model import (
 )
 
 import tree_interpreter as ref
-from model_reference import c_value, embed, full_arrays
+from model_reference import c_value, einsum_residuals, embed, full_arrays, validate_reference
 
 
 def so3_adapter():
@@ -216,15 +219,43 @@ def test_batched_validate_matches_loop_reference():
         assert rep.passed
 
 
-def test_validate_reads_the_structure_once_per_point(monkeypatch):
+def test_validate_compiles_one_residual_kernel_per_model(monkeypatch):
+    # the residuals come from one kernel, compiled on the first validate
+    # and kept on the model; nothing reads the structure point by point
+    import affgebroid.model as model_module
+
     chart = Chart(["x"], 2, base_box=[(0.5, 0.9)])
     m = from_lie_algebroid(chart, [["1"], ["x"]], {(1, 2): ["1", "0"]})
-    calls = []
+    compiled, reads = [], []
+    compile_trees = model_module.compile_trees
+    monkeypatch.setattr(
+        model_module, "compile_trees", lambda *a: compiled.append(a) or compile_trees(*a)
+    )
     for name in ("structure_values", "structure_grad_values", "structure_at", "structure_grad_at"):
-        read = getattr(m, name)
-        monkeypatch.setattr(m, name, lambda x, name=name, read=read: calls.append(name) or read(x))
-    validate_structure(m, samples=100)
-    assert sorted(calls) == ["structure_grad_values"] * 100 + ["structure_values"] * 100
+        monkeypatch.setattr(m, name, lambda x, name=name: reads.append(name))
+    for samples in (100, 70, 1):
+        assert validate_structure(m, samples=samples).passed
+    assert len(compiled) == 1 and reads == []
+
+
+def test_draws_match_scalar_draws():
+    # one call per block gives the floats of one rng.uniform call per
+    # coordinate, row by row, and leaves the generator where they leave it
+    box = ((-1.0, 2.0), (0.5, 3.0), (-4.0, -1.0))
+    chart = Chart(["a", "b", "c"], 2, base_box=box, fibre_box=[(0.0, 1e-3), (-7.0, 9.0)])
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+
+    def scalar(box):
+        return [ref.uniform(lo, hi) for lo, hi in box]
+
+    assert np.array_equal(chart._draw(rng, box, 1000), [scalar(box) for _ in range(1000)])
+    assert np.array_equal(chart.sample_base(rng), scalar(box))
+    a = chart.sample_a(rng)
+    assert np.array_equal(a.x, scalar(box)) and np.array_equal(a.y, scalar(chart.fibre_box))
+    jet = chart.sample_jet(rng)
+    want = [scalar(b) for b in (box,) + (chart.fibre_box,) * 3]
+    assert all(np.array_equal(getattr(jet, s), w) for s, w in zip(jet.__slots__, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_structure_grad_matches_finite_differences():
@@ -304,3 +335,106 @@ def test_validate_structure_needs_samples():
             validate_structure(so3_adapter(), samples=samples)
     with pytest.raises(ValueError, match="at least one sample point"):
         validate_structure(so3_adapter(), sample_points=[])
+
+
+# --- the residual kernel against the einsum reference -----------------------
+
+_EPS = np.finfo(float).eps
+_ENTRIES = all_entries()
+# fields that break Jacobi almost always, exp(709*x) with a partial that
+# overflows at x = 1 where its value does not; then fields that raise at
+# x <= 0, or at x = 0 only (the partial of sqrt)
+_FIELDS = ["0", "0", "1", "-2", "x", "t", "x*t", "0.5*x^2 - t", "sin(t)", "exp(x)", "exp(709*x)"]
+_RAISING = ["sqrt(x)", "log(x)", "1/x"]
+_GRID = [-1.0, -0.5, 0.0, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def _broken_models(draw, fields):
+    # random fields over (t, x), the points on a grid that meets 0, 0.75 and 1
+    n = draw(st.integers(1, 3))
+
+    def row(k):
+        return draw(st.lists(st.sampled_from(fields), min_size=k, max_size=k))
+
+    c = {(a, b): row(n) for a in range(1, n + 1) for b in range(a + 1, n + 1)}
+    model = AffgebroidModel(Chart(["t", "x"], n), row(2), [row(2) for _ in range(n)],
+                            [row(n) for _ in range(n)], c)
+    points = draw(st.lists(st.tuples(st.sampled_from(_GRID), st.sampled_from(_GRID)),
+                           min_size=1, max_size=70))
+    return model, {"sample_points": points}
+
+
+_MODELS = st.one_of(
+    st.tuples(st.sampled_from(_ENTRIES).map(lambda e: e.model),
+              st.fixed_dictionaries({"samples": st.integers(1, 70), "seed": st.integers(0, 9)})),
+    st.tuples(st.builds(lambda seed, m, alg: reduce(random_spec(np.random.default_rng(seed), m, alg)),
+                        st.integers(0, 2**16), st.integers(1, 2),
+                        st.sampled_from(["so3", "sl2", "heisenberg", "abelian"])),
+              st.fixed_dictionaries({"samples": st.integers(1, 40), "seed": st.integers(0, 9)})),
+    _broken_models(_FIELDS),
+    _broken_models(_FIELDS * 6 + _RAISING),
+)
+
+
+def _report(fn, model, kw):
+    try:
+        return fn(model, **kw)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return type(e), str(e)
+
+
+def _overflowing(rho, c0, x):
+    # exp(709*x) overflows where it is multiplied: at x = 0.75 squared, in
+    # a term with a repeated index (rho_1 d(rho_1)/dx or C_01^1 C_01^1),
+    # and at x = 1 in its own partial, whose every factor is a literal 0
+    model = AffgebroidModel(Chart(["t", "x"], 1), ["0", "0"], [rho], [c0])
+    return model, {"sample_points": [(0.0, 0.0), (0.0, x)]}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_MODELS)
+@example(_overflowing(["0", "exp(709*x)"], ["0"], 0.75))
+@example(_overflowing(["0", "0"], ["exp(709*x)"], 0.75))
+@example(_overflowing(["exp(709*x)", "0"], ["0"], 1.0))
+def test_residual_kernel_matches_einsum_reference(case):
+    # per point, the residuals agree within a few eps of the sum of the
+    # absolute values of their terms; verdicts, errors and non-finite
+    # points are identical, and so is each worst point where it does not
+    # tie with another point at rounding level
+    model, kw = case
+    got = _report(validate_structure, model, kw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _report(validate_reference, model, kw)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        if "sample_points" in kw:
+            points = [np.asarray(x, dtype=float) for x in kw["sample_points"]]
+        else:
+            rng = np.random.default_rng(kw["seed"])
+            points = [model.chart.sample_base(rng) for _ in range(kw["samples"])]
+        bound = 8 * _EPS * np.stack(einsum_residuals(model, points, terms=True), axis=1)
+        g, w = np.array(got.per_point), np.array(want.per_point)
+        assert got.passed == want.passed and got.n_points == want.n_points
+        assert np.array_equal(np.isnan(g), np.isnan(w))
+        assert np.all((g == w) | (np.abs(g - w) <= bound) | np.isnan(w))
+        for col, got_worst, want_worst in ((0, got.worst_anchor_point, want.worst_anchor_point),
+                                           (1, got.worst_jacobi_point, want.worst_jacobi_point)):
+            res = w[:, col]
+            top = int(np.argmax(res))
+            rest = np.delete(res, top)
+            if np.isnan(res[top]) or not np.any(rest >= res[top] - 2 * bound[:, col].max()):
+                assert np.array_equal(got_worst, want_worst)
+
+
+@pytest.mark.parametrize("bad", [10, 40])
+def test_validate_raises_the_first_error_of_reading_by_blocks(bad):
+    # the values of each block of 32 points are read before their partials:
+    # a value that fails later in the block of a failing partial wins
+    model = AffgebroidModel(Chart(["x"], 1), ["sqrt(x)"], [["1"]])
+    points = [[0.5]] * 50
+    points[3], points[bad] = [0.0], [-1.0]
+    got = _report(validate_structure, model, {"sample_points": points})
+    assert got == _report(validate_reference, model, {"sample_points": points})
+    assert got[1] == ("sqrt of negative -1.0" if bad < 32 else "division by zero")
