@@ -116,8 +116,8 @@ def hamilton_vector_field(sys):
 
 def poisson_data(model, x, p):
     """Affine Poisson bivector on the extended dual at a point, as a matrix
-    over the coordinate order (x^1..x^m, y0, p_1..p_n); it does not depend
-    on the y0 slot value."""
+    over the coordinate order (x^1..x^m, y0, p_1..p_n).  No entry reads the
+    y0 slot, so it is not an argument."""
     m = model.chart.dim_base
     n = model.chart.fibre_dim
     s = model.structure_at(x)
@@ -140,37 +140,19 @@ def poisson_data(model, x, p):
     return mat
 
 
-def _extended_differential(sys, x, p):
-    # differential of the extended function -H - y0 on (x, y0, p) coordinates
-    dhdx, dhdp = sys.grad(x, p)
-    return np.concatenate([-dhdx, [-1.0], -dhdp])
-
-
-def poisson_hamiltonian_field(sys, y0=0.0):
+def poisson_hamiltonian_field(sys):
     """Motion on (x, p) obtained by contracting the bivector with the
-    extended function of H.  y0 is accepted to let callers demonstrate the
-    result does not depend on it."""
+    differential of the extended function -H - y0 on (x, y0, p), one
+    poisson_data call per state."""
     m = sys.model.chart.dim_base
 
     def field(state):
         x, p = state[:m], state[m:]
-        xvec = poisson_data(sys.model, x, p) @ _extended_differential(sys, x, p)
+        dhdx, dhdp = sys.grad(x, p)
+        xvec = poisson_data(sys.model, x, p) @ np.concatenate([-dhdx, [-1.0], -dhdp])
         return np.concatenate([xvec[:m], xvec[m + 1 :]])
 
     return field
-
-
-def aff_poisson_bracket(sys1, sys2, point, y0=0.0):
-    """Bracket of the extended functions of two Hamiltonians at a point of
-    the dual bundle, evaluated with the y0 slot at the given value (the value
-    is immaterial; the default makes that concrete)."""
-    if sys1.model is not sys2.model:
-        raise ValueError("both systems must share one model")
-    x, p = point.x, point.p
-    mat = poisson_data(sys1.model, x, p)
-    df1 = _extended_differential(sys1, x, p)
-    df2 = _extended_differential(sys2, x, p)
-    return float(df1 @ mat @ df2)
 
 
 def cosymplectic_check_h(sys, point):

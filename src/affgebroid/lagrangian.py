@@ -11,15 +11,16 @@ it evaluates anyway as a checked step; it builds the momentum equation with
 model.motion_trees, the builder of the Hamilton motion.  The "legendre"
 kernel returns L, dL/dy and W for the Legendre map and the energy.  When W
 depends on the point, a generated LU solves for xi on every call and the
-Legendre inverse runs a Newton.  When the W trees fold to literals and W is
+Legendre inverse runs a Newton, whose velocity the "induced" kernel of the
+Legendre image takes as inputs.  When the W trees fold to literals and W is
 regular (constant_hessian), solve_trees factors W once, as the kernels
-compile: the "el" kernel also returns xi, before L, and the Legendre
-inverse and the induced Hamiltonian get kernels of their own.  A
-HamiltonianSystem compiles its "legendre" kernel (H, dH/dp, W_H) with the
-same builder.  The regularity rule is the LU's: W is regular when its 1-norm
-condition number ||W||_1 ||W^-1||_1 is below 1e12.  Only cartan_data, the
-independent route the cosymplectic check compares against, assembles the
-pieces in numpy from derivs.
+compile: the "el" kernel also returns xi, before L, the Legendre inverse
+gets a kernel of its own, and the "induced" kernel reads the velocity from
+its trees.  A HamiltonianSystem compiles its "legendre" kernel (H, dH/dp,
+W_H) with the same builder.  The regularity rule is the LU's: W is regular
+when its 1-norm condition number ||W||_1 ||W^-1||_1 is below 1e12.  Only
+cartan_data, the independent route the cosymplectic check compares
+against, assembles the pieces in numpy from derivs.
 """
 
 import functools
@@ -53,9 +54,10 @@ class _EnergySystem:
         dE/dfibre and its fibre Hessian W row-major; "el" (L only) the base
         velocity vel, r = rhs - vel d2L/dxdy, W, the momentum-equation right
         side rhs, for a constant W xi, and last L; "motion" (H only) xdot,
-        pdot, dH/dp and last H.  Over (x, p), for a constant W: "inverse"
-        the y with dL/dy(x, y) = p, and "induced" the "motion" of the image
-        of L, with H = p.y - L last."""
+        pdot, dH/dp and last H.  "induced" is the "motion" of the image of
+        L, with H = p.y - L last, over (x, p) for a constant W and over
+        (x, p, y), y the velocity matched to p, otherwise; "inverse", for a
+        constant W, the y with dL/dy(x, y) = p over (x, p)."""
         k = self._kernels.get(kind)
         if k is None:
             k = self._kernels[kind] = self._compile(kind)
@@ -81,12 +83,18 @@ class _EnergySystem:
             steps = [(f.ast, True)] + [(t, False) for t in dldy + upper]
             return compile_trees([f.ast] + dldy + w_flat, f.variables, steps)
         if kind in ("inverse", "induced"):
-            # y = W^-1 (p - dL/dy(x, 0)), and at it dH/dx = -dL/dx, dH/dp = y
+            # y = W^-1 (p - dL/dy(x, 0)) for a constant W, else the velocity
+            # a Newton matched to p, taken as the inputs after (x, p); at y,
+            # dH/dx = -dL/dx and dH/dp = y
             names = model.chart.base_names + model.chart.dual_names
             p = [Var(name) for name in names[m:]]
-            origin = {name: Num(0.0) for name in f.variables[m:]}
-            g = [tree_op("-", pa, rebuild(d, origin)) for pa, d in zip(p, dldy)]
-            y = solve_trees(self.constant_hessian, g)
+            if self.constant_hessian is None:
+                names += f.variables[m:]
+                y = [Var(name) for name in f.variables[m:]]
+            else:
+                origin = {name: Num(0.0) for name in f.variables[m:]}
+                g = [tree_op("-", pa, rebuild(d, origin)) for pa, d in zip(p, dldy)]
+                y = solve_trees(self.constant_hessian, g)
             if kind == "inverse":
                 return compile_trees(y, names)
             at_y = dict(zip(f.variables[m:], y))
@@ -282,17 +290,6 @@ def solve_fibre_hessian(w, rhs):
     when W is singular under the regularity rule."""
     w = np.asarray(w, dtype=float)
     return np.array(_fibre_solve(w.ravel().tolist(), np.asarray(rhs, dtype=float).tolist()))
-
-
-def vertical_endomorphism(point, vec):
-    """Vertical endomorphism on prolongation vectors at a point of A:
-    (z0, z, v) -> (0, 0, z - y z0).  Squares to zero."""
-    y = point.y
-    n = y.shape[0]
-    vec = np.asarray(vec, dtype=float)
-    out = np.zeros(2 * n + 1)
-    out[1 + n :] = vec[1 : 1 + n] - y * vec[0]
-    return out
 
 
 @dataclass

@@ -18,11 +18,11 @@ from math import isfinite, isnan, nan
 import numpy as np
 
 from .errors import NewtonDivergence, SingularLagrangian
-from .expressions import Var, compile_trees, float_args
+from .expressions import float_args
 from .flow import integrate_rk4
 from .hamiltonian import hamilton_vector_field
-from .lagrangian import _dual_value, _fibre_solve, el_vector_field
-from .model import APoint, VStarPoint, motion_trees
+from .lagrangian import _fibre_solve, el_vector_field
+from .model import APoint, VStarPoint
 
 
 @dataclass
@@ -111,7 +111,6 @@ class InducedHamiltonian:
         self.lag = lag_sys
         self.params = params or NewtonParams()
         self._warm = None
-        self._kernel = None
         self._w_inv = None
 
     def _match(self, x, p):
@@ -128,15 +127,12 @@ class InducedHamiltonian:
         y, out = self._match(*_floats(self.lag, x, p))
         return float(np.asarray(p, float) @ y) - out[0]
 
-    def _grad(self, x, p):
-        # dH/dx = -dL/dx and dH/dp = y at the matched velocity y, as lists,
-        # and L there
-        y, _ = self._match(x, p)
-        dl = self.lag.lagrangian._kernel(1)(*x, *y)
-        return [-d for d in dl[1 : 1 + len(x)]], y, dl[0]
-
     def grad(self, x, p):
-        return tuple(map(np.array, self._grad(*_floats(self.lag, x, p))[:2]))
+        """(dH/dx, dH/dp) = (-dL/dx, y) at the matched velocity y."""
+        x, p = _floats(self.lag, x, p)
+        y, _ = self._match(x, p)
+        dldx = self.lag.lagrangian.value_grad(x + y)[1][: len(x)]
+        return -dldx, np.array(y)
 
     def fibre_hessian(self, x, p):
         """W^-1 at the matched velocity, solved column by column under the
@@ -150,9 +146,8 @@ class InducedHamiltonian:
     def motion_kernel(self):
         """The motion kernel, positional over (x, p), from the trees of
         HamiltonianSystem.motion, with H = p.y - L last: the "induced"
-        kernel of the Lagrangian for a constant W, else the motion trees with
-        the structure values, dH/dx, dH/dp and L as free variables,
-        evaluated before the Newton solve."""
+        kernel of the Lagrangian, which for a W that varies takes the
+        velocity the Newton solve matches to p as inputs after (x, p)."""
         if self.lag.constant_hessian is not None:
             return self.lag.kernel("induced")
         return self._newton_motion
@@ -163,20 +158,9 @@ class InducedHamiltonian:
         return self.motion_kernel()(*float_args(state, chart.base_names + chart.dual_names))
 
     def _newton_motion(self, *state):
-        model = self.model
-        m, n = model.chart.dim_base, model.chart.fibre_dim
-        x, p = state[:m], state[m:]
-        values = model.structure_values(x)
-        dhdx, dhdp, lval = self._grad(x, p)
-        if self._kernel is None:
-            gx = [Var("gx%d" % i) for i in range(m)]
-            gp = [Var("gp%d" % a) for a in range(n)]
-            pv = [Var("p%d" % a) for a in range(n)]
-            lv = Var("l")
-            names = ["s%d" % k for k in range(len(values))] + [v.name for v in pv + gx + gp + [lv]]
-            trees = motion_trees(model.structure_trees(free=True), gx, gp, pv)
-            self._kernel = compile_trees(trees + [_dual_value(pv, gp, lv)], names)
-        return self._kernel(*values, *p, *dhdx, *dhdp, lval)
+        m = self.model.chart.dim_base
+        y, _ = self._match(state[:m], state[m:])
+        return self.lag.kernel("induced")(*state, *y)
 
 
 def l_from_h(sys, a, section=None, guess=None, params=None):

@@ -11,9 +11,11 @@ The structure has one layout, the flat order of structure_values: rho0,
 rho, c0, then c with both halves (C_ba^g = -C_ab^g, zero diagonal), each
 row-major.  structure_grad_values gives the m partials of each of those
 entries in turn.  One splitter turns either, or their trees, into
-StructureValues arrays.  Only the residual kernel of validate_structure
-lays them out over the indices 0..n; it is compiled on first use and kept
-on the model, like the kernels of the structure values.
+StructureValues arrays.  The kernels of the systems compile the trees of
+structure_trees in with their own terms, so no kernel takes the structure
+values as inputs.  Only the residual kernel of validate_structure lays them
+out over the indices 0..n; it is compiled on first use and kept on the
+model, like the kernels of the structure values.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +28,6 @@ from .errors import DomainError
 from .expressions import (
     Neg,
     Num,
-    Var,
     bind_row,
     compile_trees,
     constant_field,
@@ -246,10 +247,6 @@ class AffgebroidModel:
         rows = [[read(f) for f in row] for row in (self.rho0, *self.rho, *self.c0)]
         return [t for row in rows + [r for plane in c for r in plane] for e in row for t in e]
 
-    @property
-    def is_constant_structure(self):
-        return self._const
-
     def _split(self, flat, tail=()):
         # StructureValues of an array whose last axis runs over the flat
         # layout, each entry spread over the trailing axes `tail` (the m
@@ -283,14 +280,11 @@ class AffgebroidModel:
         each field's value, in declaration order."""
         return [(f.ast, True) for f in self._fields()]
 
-    def structure_trees(self, free=False):
+    def structure_trees(self):
         """The structure functions as trees, in the layout of StructureValues
-        with nested lists for arrays.  With free=True, every tree that is not
-        a literal becomes the variable "s<k>", k its position in the flat
-        tuple structure_values returns."""
+        with nested lists for arrays; every kernel that reads the structure
+        compiles them in."""
         flat = self._flat_trees()
-        if free:
-            flat = [t if literal_value(t) is not None else Var("s%d" % k) for k, t in enumerate(flat)]
         s = self._split(np.fromiter(flat, dtype=object, count=len(flat)))
         return StructureValues(s.rho0.tolist(), s.rho.tolist(), s.c0.tolist(), s.c.tolist())
 

@@ -1,5 +1,5 @@
-"""Canonical involution, its linear twin, the phase-space isomorphism, and
-the dynamics-as-submanifold characterizations with residual tests.
+"""Canonical involution, the phase-space isomorphism, and the
+dynamics-as-submanifold characterizations with residual tests.
 
 Double points come in two readings: velocity-side quadruples (x, y; z, v)
 and momentum-side quadruples (x, p; z, w).  The maps below shuttle between
@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import Trajectory, time_derivative
 from .hamiltonian import reeb_section
 from .lagrangian import momentum_equation_rhs
 from .legendre import NewtonParams, leg_inverse
-from .model import APoint, JetPoint, PhasePoint, VStarPoint, _Point
+from .model import JetPoint, PhasePoint, VStarPoint, _Point
 
 
 def sigma(model, j):
@@ -24,25 +23,6 @@ def sigma(model, j):
     s = model.structure_at(j.x)
     v = j.v + (j.y - j.z) @ s.c0 + np.einsum("bga,b,g->a", s.c, j.z, j.y)
     return JetPoint(j.x, j.z, j.y, v)
-
-
-def sigma_l(model, j):
-    """Linear-side flip: (x, y; z, v) -> (x, z; y, v - C_0g z + C_bg z y)."""
-    s = model.structure_at(j.x)
-    v = j.v - j.z @ s.c0 + np.einsum("bga,b,g->a", s.c, j.z, j.y)
-    return JetPoint(j.x, j.z, j.y, v)
-
-
-def tilde_pairing(j):
-    """Pairing swap between the two double readings:
-    (x, a; b, c) -> (x, c; b, a)."""
-    return PhasePoint(j.x, j.v, j.z, j.y)
-
-
-def a_map_dual(model, j):
-    """Dual of the phase-space isomorphism: pairing swap after the linear
-    flip.  Sends velocity-side doubles to momentum-side doubles."""
-    return tilde_pairing(sigma_l(model, j))
 
 
 class LvStarPoint(_Point):
@@ -123,52 +103,3 @@ def s_h_point(sys, q):
     n = sys.model.chart.fibre_dim
     r = reeb_section(sys, q)
     return PhasePoint(q.x.copy(), q.p.copy(), r[1 : 1 + n], r[1 + n :])
-
-
-def lift_hamilton_trajectory(sys, traj):
-    """Attach the submanifold slots (z, w) to a Hamilton trajectory on
-    (x, p), producing rows (x, p, z, w)."""
-    m = sys.model.chart.dim_base
-    rows = []
-    for state in traj.states:
-        ph = s_h_point(sys, VStarPoint(state[:m], state[m:]))
-        rows.append(np.concatenate([ph.x, ph.p, ph.z, ph.w]))
-    out_meta = dict(traj.meta)
-    out_meta["lift"] = "reeb"
-    return Trajectory(traj.times.copy(), np.array(rows), out_meta)
-
-
-def lift_el_trajectory(sys, traj):
-    """Carry an Euler-Lagrange trajectory on (x, y) into the momentum-side
-    submanifold rows (x, p, z, w)."""
-    m = sys.model.chart.dim_base
-    rows = []
-    for state in traj.states:
-        ph = s_l_generator(sys, APoint(state[:m], state[m:]))
-        rows.append(np.concatenate([ph.x, ph.p, ph.z, ph.w]))
-    out_meta = dict(traj.meta)
-    out_meta["lift"] = "dL"
-    return Trajectory(traj.times.copy(), np.array(rows), out_meta)
-
-
-def admissibility_residual(model, traj):
-    """How far a stored momentum-side trajectory (x, p, z, w) is from being
-    an admissible motion: the base must flow along the anchor of the velocity
-    slot, the momenta must flow along the covelocity slot.  Returns the two
-    max defects (base block, momentum block); derivatives are second-order
-    finite differences on the stored grid."""
-    m = model.chart.dim_base
-    n = model.chart.fibre_dim
-    xs = traj.states[:, :m]
-    ps = traj.states[:, m : m + n]
-    zs = traj.states[:, m + n : m + 2 * n]
-    ws = traj.states[:, m + 2 * n :]
-    dx = time_derivative(traj.times, xs)
-    dp = time_derivative(traj.times, ps)
-    res_base = 0.0
-    for i in range(len(traj.times)):
-        s = model.structure_at(xs[i])
-        drift = s.rho0 + zs[i] @ s.rho
-        res_base = max(res_base, float(np.max(np.abs(dx[i] - drift))))
-    res_mom = float(np.max(np.abs(dp - ws)))
-    return res_base, res_mom

@@ -14,7 +14,6 @@ from affgebroid.atiyah import (
     hp_equations_check,
     lp_equations_check,
     magnetic_spec,
-    random_spec,
     reduce,
     so3_spec,
 )
@@ -35,6 +34,7 @@ from affgebroid.legendre import (
 )
 from affgebroid.model import APoint, VStarPoint, validate_structure
 from affgebroid.tulczyjew import s_h_point, s_l_generator, s_l_residual, sigma
+from specs import random_spec
 
 BROKEN_JACOBI = str(Path(__file__).resolve().parent / "fixtures" / "broken_jacobi.json")
 
@@ -174,13 +174,11 @@ def test_criterion_07_hamilton_route_equality():
     worst = 0.0
     for entry in catalog.all_entries():
         direct = hamilton_vector_field(entry.ham)
-        routes = [poisson_hamiltonian_field(entry.ham, y0=y0) for y0 in (-1.0, 0.0, 1.0)]
+        route = poisson_hamiltonian_field(entry.ham)
         for _ in range(100):
             q = entry.model.chart.sample_vstar(rng)
             state = np.concatenate([q.x, q.p])
-            lhs = direct(state)
-            for route in routes:
-                worst = max(worst, float(np.max(np.abs(lhs - route(state)))))
+            worst = max(worst, float(np.max(np.abs(direct(state) - route(state)))))
     assert line(7, "bracket route equals the direct vector field", worst, 1e-10)
 
 

@@ -9,14 +9,12 @@ from affgebroid.atiyah import (
     AtiyahSpec,
     SO3_CONSTANTS,
     _constants_tensor,
-    conjugate_constants,
     curvature,
     flat_spec,
     hp_equations_check,
     jacobi_residual,
     lp_equations_check,
     magnetic_spec,
-    random_spec,
     reduce,
     so3_spec,
 )
@@ -27,6 +25,7 @@ from affgebroid.lagrangian import LagrangianSystem
 from affgebroid.model import validate_structure
 
 from model_reference import c_value
+from specs import conjugate_constants, random_spec
 
 
 def test_flat_curvature_is_zero():

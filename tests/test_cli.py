@@ -382,7 +382,7 @@ def test_load_config_generates_no_kernel_step_or_lu(tmp_path, monkeypatch):
     import pkgutil
 
     import affgebroid
-    from affgebroid.atiyah import random_spec
+    from specs import random_spec
 
     calls = []
     for info in pkgutil.iter_modules(affgebroid.__path__):
@@ -549,6 +549,31 @@ def test_check_reduces_an_atiyah_config_once(monkeypatch, capsys):
     assert main(["check", MAGNETIC, "--suite", "all"]) == 0
     assert "lp_assembly" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("config", [RIGID, OSC])
+def test_route_row_builds_each_field_once(config, monkeypatch, capsys):
+    # hamilton_route_equality builds the direct and the bracket field once
+    # for the row and reads the bivector once per each of its 100 points
+    from collections import Counter
+
+    import affgebroid.hamiltonian as hamiltonian
+
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for module, name in ((cli, "hamilton_vector_field"), (cli, "poisson_hamiltonian_field"),
+                         (hamiltonian, "poisson_data")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["check", config, "--suite", "poisson"]) == 0
+    assert "hamilton_route_equality" in capsys.readouterr().out
+    assert calls == Counter(hamilton_vector_field=1, poisson_hamiltonian_field=1, poisson_data=100)
 
 
 def test_check_skips_without_lagrangian(tmp_path, capsys):

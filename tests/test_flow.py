@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flow_reference as ref
-from affgebroid.atiyah import random_spec, reduce
+from affgebroid.atiyah import reduce
 from affgebroid.catalog import all_entries, rigid_body, twisted_line
 from affgebroid.errors import NonFiniteState, StepUnderflow
 from affgebroid.flow import integrate_rk4, integrate_rk45, rate_field, time_derivative
@@ -13,6 +13,7 @@ from affgebroid.hamiltonian import HamiltonianSystem, hamilton_vector_field
 from affgebroid.lagrangian import LagrangianSystem, el_vector_field
 from affgebroid.legendre import InducedHamiltonian
 from affgebroid.model import AffgebroidModel, Chart
+from specs import random_spec
 
 
 def test_rk4_exponential():

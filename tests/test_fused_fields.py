@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import field_reference as ref
-from affgebroid.atiyah import random_spec, reduce
+from affgebroid.atiyah import reduce
 from affgebroid.catalog import all_entries, rigid_body
 from affgebroid.errors import DomainError, NewtonDivergence, SingularLagrangian
 from affgebroid.hamiltonian import HamiltonianSystem, hamilton_vector_field, reeb_section
@@ -27,6 +27,7 @@ from affgebroid.lagrangian import (
 )
 from affgebroid.legendre import InducedHamiltonian, l_from_h
 from affgebroid.model import AffgebroidModel, APoint, Chart, VStarPoint
+from specs import quartic_entry, random_spec
 
 EPS = np.finfo(float).eps
 
@@ -205,7 +206,7 @@ def test_constant_hessian_field_is_the_lu_field_bit_for_bit(ent):
         assert el_section(ent.lag, a).tobytes() == el_section(lu_path, a).tobytes()
 
 
-@pytest.mark.parametrize("ent", all_entries(), ids=lambda e: e.name)
+@pytest.mark.parametrize("ent", all_entries() + [quartic_entry()], ids=lambda e: e.name)
 def test_induced_hamilton_field_matches_reference_assembly(ent):
     ind = InducedHamiltonian(ent.lag)
     rng = np.random.default_rng(8)
@@ -249,6 +250,22 @@ def test_fused_fields_raise_in_the_order_of_separate_evaluation():
                                                   "sqrt(x) + 0.5*y1^2"))
     with pytest.raises(DomainError, match="log needs a positive argument"):
         hamilton_vector_field(induced)(np.array([-0.5, 0.2]))
+
+
+def test_induced_newton_motion_matches_before_it_reads_the_structure():
+    # on the Newton path the velocity is matched first, then the "induced"
+    # kernel reads the structure: where L and a structure field both fail,
+    # the Newton's error comes first; where only the structure fails, its own
+    chart = Chart(["x"], 1, base_box=[(-1.0, 1.0)])
+    model = AffgebroidModel(chart, ["log(x)"], [["1"]])
+    lag = LagrangianSystem(model, "sqrt(x) + 0.5*y1^2 + 0.25*y1^4")
+    assert lag.constant_hessian is None
+    field = hamilton_vector_field(InducedHamiltonian(lag))
+    with pytest.raises(DomainError, match="sqrt of negative"):
+        field(np.array([-0.5, 0.2]))
+    with pytest.raises(DomainError, match="log needs a positive argument"):
+        field(np.array([0.0, 0.2]))
+    assert np.all(np.isfinite(field(np.array([0.5, 0.2]))))
 
 
 def test_singular_fibre_hessian_raises_from_the_field():

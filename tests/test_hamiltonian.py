@@ -4,8 +4,6 @@ import pytest
 from affgebroid.catalog import all_entries, oscillator, rigid_body
 from affgebroid.flow import integrate_rk45
 from affgebroid.hamiltonian import (
-    HamiltonianSystem,
-    aff_poisson_bracket,
     cosymplectic_check_h,
     hamilton_vector_field,
     omega_h,
@@ -63,38 +61,12 @@ def test_reeb_projects_to_hamilton_field():
 def test_two_routes_agree():
     for ent in all_entries():
         f1 = hamilton_vector_field(ent.ham)
+        f2 = poisson_hamiltonian_field(ent.ham)
         rng = np.random.default_rng(12)
         for _ in range(10):
             pt = ent.model.chart.sample_vstar(rng)
             state = np.concatenate([pt.x, pt.p])
-            for y0 in (-1.0, 0.0, 1.0):
-                f2 = poisson_hamiltonian_field(ent.ham, y0=y0)
-                assert np.max(np.abs(f1(state) - f2(state))) < 1e-12, ent.name
-
-
-def test_bracket_reference_sign():
-    # flat chart (t, q): the bracket of the extended functions of H = p1 and
-    # H' = q is +1
-    ent = oscillator()
-    h1 = HamiltonianSystem(ent.model, "p1")
-    h2 = HamiltonianSystem(ent.model, "q")
-    pt = VStarPoint([0.2, 0.4], [0.6])
-    assert aff_poisson_bracket(h1, h2, pt) == pytest.approx(1.0, abs=1e-15)
-    assert aff_poisson_bracket(h2, h1, pt) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_bracket_y0_immaterial():
-    ent = rigid_body()
-    h1, h2 = ent.ham, HamiltonianSystem(ent.model, "p1*p2 + p3")
-    pt = VStarPoint([0.1], [0.4, -0.7, 0.2])
-    vals = {aff_poisson_bracket(h1, h2, pt, y0=v) for v in (-1.0, 0.0, 1.0)}
-    assert len(vals) == 1
-
-
-def test_bracket_model_mismatch():
-    a, b = oscillator(), rigid_body()
-    with pytest.raises(ValueError):
-        aff_poisson_bracket(a.ham, b.ham, VStarPoint([0.0, 0.0], [0.0]))
+            assert np.max(np.abs(f1(state) - f2(state))) < 1e-12, ent.name
 
 
 def test_poisson_matrix_antisymmetric():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affgebroid.catalog import all_entries, oscillator, rigid_body, twisted_line
+from affgebroid.catalog import all_entries, oscillator, rigid_body
 from affgebroid.errors import SingularLagrangian
 from affgebroid.flow import integrate_rk4, time_derivative
 from affgebroid.hamiltonian import HamiltonianSystem
@@ -16,7 +16,6 @@ from affgebroid.lagrangian import (
     energy,
     momentum_equation_rhs,
     regularity,
-    vertical_endomorphism,
 )
 from affgebroid.model import APoint
 
@@ -88,17 +87,6 @@ def test_cartan_one_form_coefficients():
     assert data.theta0 == pytest.approx(-0.5 * 0.25 ** 2 - 0.5 * 0.25)
     assert data.theta[0] == pytest.approx(0.25)
     assert np.array_equal(data.omega, -data.omega.T)
-
-
-def test_vertical_endomorphism_nilpotent_and_kills_sode():
-    ent = twisted_line()
-    rng = np.random.default_rng(2)
-    for pt in random_points(ent, 5, seed=5):
-        vec = rng.normal(size=2 * ent.model.chart.fibre_dim + 1)
-        sv = vertical_endomorphism(pt, vec)
-        assert np.all(vertical_endomorphism(pt, sv) == 0.0)
-        r = el_section(ent.lag, pt)
-        assert np.all(vertical_endomorphism(pt, r) == 0.0)
 
 
 def test_regularity_and_singular_error():

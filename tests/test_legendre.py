@@ -23,6 +23,7 @@ from affgebroid.legendre import (
     leg_inverse,
 )
 from affgebroid.model import APoint, VStarPoint
+from specs import quartic_entry
 
 PAIRED = [oscillator, rigid_body, twisted_line]
 
@@ -99,20 +100,13 @@ def test_induced_field_call_makes_no_derivs_call(monkeypatch):
     assert h == float(v.p @ cold.y) - ent.lag.derivs(cold.x, cold.y)[0]
 
 
-def _quartic_entry():
-    ent = twisted_line()
-    src = "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1"
-    ent.name, ent.lag = "twisted_line-quartic", LagrangianSystem(ent.model, src)
-    return ent
-
-
-@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), _quartic_entry()],
+@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), quartic_entry()],
                          ids=lambda e: e.name)
 def test_induced_rate_converts_its_state_once(ent, monkeypatch):
-    # the motion kernel runs on the integrator's floats.  For a constant W
-    # it is one compiled kernel and converts nothing; on the Newton path
-    # only structure_values converts x.  motion converts the state once
-    # more on entry
+    # the motion kernel runs on the integrator's floats and converts
+    # nothing: for a constant W it is one compiled kernel, on the Newton
+    # path the Newton on the floats and then the "induced" kernel, which
+    # reads the structure itself.  motion converts the state once on entry
     from affgebroid import expressions, flow, hamiltonian, lagrangian, legendre, model
 
     newton = ent.lag.constant_hessian is None
@@ -130,10 +124,9 @@ def test_induced_rate_converts_its_state_once(ent, monkeypatch):
     for mod in (expressions, flow, hamiltonian, lagrangian, legendre, model):
         monkeypatch.setattr(mod, "float_args", counted)
     ham.motion_kernel()(*state)
-    assert len(calls) == (1 if newton else 0)
-    calls.clear()
+    assert len(calls) == 0
     ham.motion(np.array(state))
-    assert len(calls) == (2 if newton else 1)
+    assert len(calls) == 1
 
 
 def test_extended_map_reports_minus_energy():
@@ -183,7 +176,7 @@ def test_l_from_h_reads_only_the_legendre_kernel_of_h(maker, monkeypatch):
     assert calls == Counter()
 
 
-@pytest.mark.parametrize("ent", all_entries() + [_quartic_entry()], ids=lambda e: e.name)
+@pytest.mark.parametrize("ent", all_entries() + [quartic_entry()], ids=lambda e: e.name)
 def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch):
     # value and fibre_hessian read L and W from the "legendre" kernel output
     # at the matched velocity.  On the Newton path (the quartic L) that is
@@ -253,7 +246,7 @@ def test_flow_commutation(maker):
     assert flow_commutation_check(ham, a0, 1.0, 1e-3) < 1e-5
 
 
-@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), _quartic_entry()],
+@pytest.mark.parametrize("ent", [rigid_body(), twisted_line(), quartic_entry()],
                          ids=lambda e: e.name)
 def test_flow_commutation_reads_the_images_of_leg(ent):
     # the images of the Lagrangian states come from one "legendre" kernel

@@ -2,25 +2,16 @@ import numpy as np
 import pytest
 
 from affgebroid.catalog import all_entries, oscillator, rigid_body, twisted_line
-from affgebroid.flow import integrate_rk4
-from affgebroid.hamiltonian import hamilton_vector_field
-from affgebroid.lagrangian import el_vector_field
 from affgebroid.legendre import InducedHamiltonian, leg
 from affgebroid.model import AffgebroidModel, APoint, Chart, JetPoint, PhasePoint, VStarPoint
 from affgebroid.tulczyjew import (
     a_map,
-    a_map_dual,
     a_map_inverse,
-    admissibility_residual,
     dl_point,
-    lift_el_trajectory,
-    lift_hamilton_trajectory,
     s_h_point,
     s_l_generator,
     s_l_residual,
     sigma,
-    sigma_l,
-    tilde_pairing,
 )
 
 
@@ -37,12 +28,6 @@ def test_sigma_pinned_values():
     assert (out.y[0], out.z[0], out.v[0]) == (3.0, 1.0, 1.0)
     back = sigma(m, out)
     assert (back.y[0], back.z[0], back.v[0]) == (1.0, 3.0, 5.0)
-
-
-def test_sigma_l_pinned_value():
-    m = c01_model(2.0)
-    out = sigma_l(m, JetPoint([0.0], [1.0], [3.0], [5.0]))
-    assert (out.y[0], out.z[0], out.v[0]) == (3.0, 1.0, -1.0)
 
 
 def test_sigma_trivial_when_flat():
@@ -64,29 +49,6 @@ def test_sigma_involution_bundle_examples():
                 np.max(np.abs(jj.v - j.v)),
             )
             assert gap <= 1e-12, ent.name
-
-
-def test_dual_map_identity():
-    # pairing swap composed with the linear flip matches the printed direct map
-    for ent in all_entries():
-        rng = np.random.default_rng(6)
-        s_at = ent.model.structure_at
-        for _ in range(20):
-            j = ent.model.chart.sample_jet(rng)
-            ph = a_map_dual(ent.model, j)
-            s = s_at(j.x)
-            direct_p = (
-                j.v - j.z @ s.c0 + np.einsum("abg,a,b->g", s.c, j.z, j.y)
-            )
-            assert np.max(np.abs(ph.p - direct_p)) <= 1e-12
-            assert np.array_equal(ph.z, j.y)
-            assert np.array_equal(ph.w, j.z)
-
-
-def test_tilde_pairing_swaps():
-    j = JetPoint([0.0], [1.0], [2.0], [3.0])
-    ph = tilde_pairing(j)
-    assert (ph.p[0], ph.z[0], ph.w[0]) == (3.0, 2.0, 1.0)
 
 
 def test_a_map_pinned_values():
@@ -180,39 +142,6 @@ def test_submanifolds_coincide_for_regular_pairs():
                 np.max(np.abs(hh.z - gen.z)), np.max(np.abs(hh.w - gen.w))
             )
             assert gap < 1e-8, ent.name
-
-
-def test_hamilton_trajectory_is_admissible():
-    ent = rigid_body()
-    f = hamilton_vector_field(ent.ham)
-    traj = integrate_rk4(f, [0.0, 1.0, 0.6, -0.4], 0.0, 1.0, 1e-3)
-    lifted = lift_hamilton_trajectory(ent.ham, traj)
-    res_base, res_mom = admissibility_residual(ent.model, lifted)
-    assert res_base < 1e-4
-    assert res_mom < 1e-4
-
-
-def test_el_trajectory_is_admissible():
-    ent = oscillator()
-    f = el_vector_field(ent.lag)
-    traj = integrate_rk4(f, [0.0, 1.0, 0.0], 0.0, 1.0, 1e-3)
-    lifted = lift_el_trajectory(ent.lag, traj)
-    res_base, res_mom = admissibility_residual(ent.model, lifted)
-    assert res_base < 1e-4
-    assert res_mom < 1e-4
-
-
-def test_constant_curve_admissible_when_anchorless():
-    ent = rigid_body()
-    times = np.linspace(0.0, 1.0, 11)
-    row = np.concatenate([[0.3], [0.1, 0.2, 0.3], np.zeros(3), np.zeros(3)])
-    # constant momenta, zero velocity and covelocity slots, frozen base
-    from affgebroid.flow import Trajectory
-
-    traj = Trajectory(times, np.tile(row, (11, 1)))
-    res_base, res_mom = admissibility_residual(ent.model, traj)
-    assert res_base == 0.0
-    assert res_mom == 0.0
 
 
 def test_dl_point_components():
