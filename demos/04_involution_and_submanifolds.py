@@ -47,7 +47,7 @@ worst_member = 0.0
 worst_cross = 0.0
 for _ in range(200):
     p = s_l_generator(entry.lag, model.chart.sample_a(rng))
-    worst_member = max(worst_member, s_l_residual(entry.lag, p, params=ham.params).max_abs)
+    worst_member = max(worst_member, s_l_residual(entry.lag, p).max_abs)
     sh = s_h_point(ham, VStarPoint(p.x, p.p))
     worst_cross = max(
         worst_cross, float(np.max(np.abs(sh.z - p.z))), float(np.max(np.abs(sh.w - p.w)))

@@ -26,7 +26,7 @@ from .expressions import ScalarField, constant_field, derive_field, parse
 from .flow import integrate_rk4, integrate_rk45
 from .hamiltonian import HamiltonianSystem, hamilton_vector_field
 from .lagrangian import LagrangianSystem, el_vector_field
-from .legendre import InducedHamiltonian, NewtonParams, leg, leg_inverse
+from .legendre import InducedHamiltonian, leg, leg_inverse
 from .model import (
     AffgebroidModel,
     APoint,
@@ -52,7 +52,6 @@ __all__ = [
     "JetPoint",
     "LagrangianSystem",
     "NewtonDivergence",
-    "NewtonParams",
     "NonFiniteState",
     "ParseError",
     "PhasePoint",

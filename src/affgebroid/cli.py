@@ -24,8 +24,6 @@ errors.
   initial      {"x": [m values], "y": [n values], "p": [n values]}
   integrator   {"method": "rk4", "dt": h, "t0": a, "t1": b} or
                {"method": "rk45", "rtol": r, "atol": s, "t0": a, "t1": b}
-  newton       {"tol": eps, "max_iter": k}, used only when the fibre Hessian
-               of L depends on the point; a constant one needs no Newton
   seed         integer feeding every randomized check (default 0)
 
 CSV layout for simulate: integration time "t" first, then the base
@@ -68,7 +66,7 @@ from .hamiltonian import (
     poisson_hamiltonian_field,
 )
 from .lagrangian import LagrangianSystem, el_vector_field, regularity
-from .legendre import InducedHamiltonian, NewtonParams, flow_commutation_check, leg_inverse
+from .legendre import InducedHamiltonian, flow_commutation_check, leg_inverse
 from .model import AffgebroidModel, APoint, Chart, VStarPoint, validate_structure
 from .tulczyjew import a_map, a_map_inverse, s_h_point, s_l_generator, s_l_residual, sigma
 
@@ -274,15 +272,8 @@ def _integrator(raw):
     return out
 
 
-def _newton(raw):
-    _section(raw, "newton", ("tol", "max_iter"))
-    default = NewtonParams()
-    tol = _positive(raw.get("tol", default.tol), "newton.tol")
-    return NewtonParams(tol, _int(raw.get("max_iter", default.max_iter), "newton.max_iter", 1))
-
-
 _TOP_KEYS = ("chart", "structure", "atiyah", "lagrangian", "hamiltonian", "initial",
-             "integrator", "newton", "seed")
+             "integrator", "seed")
 
 
 def load_config(path):
@@ -315,7 +306,6 @@ def load_config(path):
         ham_sys=_energy(raw, "hamiltonian", HamiltonianSystem, model),
         initial=_initial(raw.get("initial", {}), chart),
         integrator=_integrator(raw.get("integrator", {})),
-        newton=_newton(raw.get("newton", {})),
         seed=_int(raw.get("seed", 0), "seed", 0),
     )
 
@@ -477,7 +467,7 @@ def cmd_legendre(args):
             if const is None and not regularity(w)[0]:
                 raise SingularLagrangian("fibre Hessian singular")
             v = VStarPoint(x0, p)
-            back = leg_inverse(sys_obj, v, params=bundle.newton)
+            back = leg_inverse(sys_obj, v)
             err = float(np.max(np.abs(back.y - y)))
             worst = max(worst, err)
             dets.append(det)
@@ -529,16 +519,16 @@ def _dual_map_gap(bundle, rng):
 
 def _generated_residual(bundle, rng):
     p = s_l_generator(bundle.lag_sys, bundle.model.chart.sample_a(rng))
-    return s_l_residual(bundle.lag_sys, p, params=bundle.newton).max_abs
+    return s_l_residual(bundle.lag_sys, p).max_abs
 
 
 def _submanifold_match(bundle, rng):
     # one Hamiltonian for every point: its Newton warm start carries over
-    ham = InducedHamiltonian(bundle.lag_sys, params=bundle.newton)
+    ham = InducedHamiltonian(bundle.lag_sys)
 
     def at(bundle, rng):
         ph = s_h_point(ham, bundle.model.chart.sample_vstar(rng))
-        on_l = s_l_residual(bundle.lag_sys, ph, params=bundle.newton).max_abs
+        on_l = s_l_residual(bundle.lag_sys, ph).max_abs
         pl = s_l_generator(bundle.lag_sys, bundle.model.chart.sample_a(rng))
         return on_l, _gap(s_h_point(ham, VStarPoint(pl.x, pl.p)), pl)
 
@@ -546,7 +536,7 @@ def _submanifold_match(bundle, rng):
 
 
 def _flow_commutation(bundle, rng):
-    ham = InducedHamiltonian(bundle.lag_sys, params=bundle.newton)
+    ham = InducedHamiltonian(bundle.lag_sys)
     a0 = APoint(bundle.initial.x, bundle.initial.y)
     return flow_commutation_check(ham, a0, 1.0, 1e-3)
 
@@ -690,7 +680,7 @@ def cmd_atiyah_expand(args):
         "chart": {"base": list(chart.base_names), "fibre_dim": n, "box": box},
         "structure": structure,
     }
-    for key in ("lagrangian", "hamiltonian", "initial", "integrator", "newton", "seed"):
+    for key in ("lagrangian", "hamiltonian", "initial", "integrator", "seed"):
         if key in bundle.raw:
             out[key] = bundle.raw[key]
     _write(args.out, json.dumps(out, indent=2) + "\n")

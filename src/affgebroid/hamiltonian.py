@@ -17,7 +17,7 @@ from .model import motion_trees
 class HamiltonianSystem(_EnergySystem):
     """A model with a Hamiltonian over (base, momentum) coordinates.
 
-    Evaluation goes through value/grad/fibre_hessian/motion/motion_kernel
+    Evaluation goes through value/grad/motion/motion_kernel
     so a numerically induced Hamiltonian (Legendre image of a Lagrangian)
     can drop in for a parsed one.  Its kernels are compiled as a
     LagrangianSystem's are, one per kind: "motion" and "legendre".
@@ -38,10 +38,6 @@ class HamiltonianSystem(_EnergySystem):
         m = self.model.chart.dim_base
         _, g = self.hamiltonian.value_grad(self._point(x, p))
         return g[:m], g[m:]
-
-    def fibre_hessian(self, x, p):
-        """The momentum Hessian W_H, from the "legendre" kernel."""
-        return self.legendre_data(x, p)[2]
 
     def motion_kernel(self):
         """The "motion" kernel, positional over (x, p): xdot, pdot, dH/dp

@@ -6,13 +6,11 @@ A; H, dH/dp, W_H on the dual) and run one damped Newton on it, except that
 for a constant regular W (LagrangianSystem.constant_hessian) the inverse of
 Leg_L is affine, y = W^-1 (p - dL/dy(x, 0)), and compiled.  InducedHamiltonian
 pairs a regular Lagrangian (.lag) with its Hamiltonian; flow_commutation_check
-reads both sides from it.  It never differentiates the inverse: its value and
-fibre Hessian come from the kernel output at the matched velocity, and its
-gradient and motion from the implicit-function identities there: dH/dp = y,
-dH/dx = -dL/dx, fibre Hessian of H = inverse of the fibre Hessian of L.
+reads both sides from it.  It never differentiates the inverse: its value
+comes from the kernel output at the matched velocity, and its gradient and
+motion from the implicit-function identities there: dH/dp = y, dH/dx = -dL/dx.
 """
 
-from dataclasses import dataclass
 from math import isfinite, isnan, nan
 
 import numpy as np
@@ -25,21 +23,20 @@ from .lagrangian import _fibre_solve, el_vector_field
 from .model import APoint, VStarPoint
 
 
-@dataclass
-class NewtonParams:
-    tol: float = 1e-12
-    max_iter: int = 50
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
-def _newton(sys, x, target, z0, params):
+def _newton(sys, x, target, z0):
     """Damped Newton on the fibre for dE/dz(x, z) = target, with E the
     energy function of sys, L or a parsed H, started at z0 (None: the fibre
-    origin): full step, halved while the residual norm grows.  The steps
-    solve with the fibre Hessian under the regularity rule.  Takes and runs
-    on lists of floats over the "legendre" kernel of sys; returns z as a list
-    and the kernel output at z, (E, dE/dz, W row-major) as one flat tuple."""
+    origin): full step, halved while the residual norm grows, for at most
+    NEWTON_MAX_ITER steps, until the residual sup norm is at most NEWTON_TOL.
+    The steps solve with the fibre Hessian under the regularity rule.  Takes
+    and runs on lists of floats over the "legendre" kernel of sys; returns z
+    as a list and the kernel output at z, (E, dE/dz, W row-major) as one flat
+    tuple."""
     n = sys.model.chart.fibre_dim
-    params = params or NewtonParams()
     kernel = sys.kernel("legendre")
 
     def at(z):
@@ -51,26 +48,26 @@ def _newton(sys, x, target, z0, params):
 
     z = [0.0] * n if z0 is None else z0
     out, res, norm = at(z)
-    for _ in range(params.max_iter):
-        if norm <= params.tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if norm <= NEWTON_TOL:
             return z, out
         step = _fibre_solve(out[1 + n :], res)
         lam = 1.0
         for _ in range(30):
             trial = [a - lam * b for a, b in zip(z, step)]
             tout, tres, tnorm = at(trial)
-            if isfinite(tnorm) and (tnorm < norm or tnorm <= params.tol):
+            if isfinite(tnorm) and (tnorm < norm or tnorm <= NEWTON_TOL):
                 z, out, res, norm = trial, tout, tres, tnorm
                 break
             lam *= 0.5
         else:
             raise NewtonDivergence(
-                "damping stalled at residual %.3e (tol %.1e)" % (norm, params.tol)
+                "damping stalled at residual %.3e (tol %.1e)" % (norm, NEWTON_TOL)
             )
-    if norm <= params.tol:
+    if norm <= NEWTON_TOL:
         return z, out
     raise NewtonDivergence(
-        "no convergence after %d iterations, residual %.3e" % (params.max_iter, norm)
+        "no convergence after %d iterations, residual %.3e" % (NEWTON_MAX_ITER, norm)
     )
 
 
@@ -86,32 +83,30 @@ def leg(sys, a):
     return VStarPoint(a.x, sys.legendre_data(a.x, a.y)[1])
 
 
-def leg_inverse(sys, v, guess=None, params=None):
+def leg_inverse(sys, v, guess=None):
     """Velocity with dL/dy(x, y) = p: the closed form for a constant W,
     otherwise damped Newton on the fibre from guess (default: the fibre
-    origin) under params.  Requires a regular Lagrangian along the path;
-    raises SingularLagrangian or NewtonDivergence."""
+    origin).  Requires a regular Lagrangian along the path; raises
+    SingularLagrangian or NewtonDivergence."""
     x, p, guess = _floats(sys, v.x, v.p, guess)
     if sys.constant_hessian is not None:
         return APoint(v.x, sys.kernel("inverse")(*x, *p))
-    return APoint(v.x, _newton(sys, x, p, guess, params)[0])
+    return APoint(v.x, _newton(sys, x, p, guess)[0])
 
 
 class InducedHamiltonian:
     """Legendre image of a Lagrangian as a live Hamiltonian: value, grad,
-    fibre_hessian, motion and motion_kernel as a HamiltonianSystem has
-    them, read at the velocity leg_inverse matches to p.  The Newton solve
-    keeps a warm-start cache, which saves iterations along continuous
-    paths.  Where Newton starts changes the matched velocity by rounding,
-    within the Newton tol, so results can depend on the order of earlier
-    calls at that level; the same call sequence reproduces exactly."""
+    motion and motion_kernel as a HamiltonianSystem has them, read at the
+    velocity leg_inverse matches to p.  The Newton solve keeps a warm-start
+    cache, which saves iterations along continuous paths.  Where Newton
+    starts changes the matched velocity by rounding, within NEWTON_TOL, so
+    results can depend on the order of earlier calls at that level; the same
+    call sequence reproduces exactly."""
 
-    def __init__(self, lag_sys, params=None):
+    def __init__(self, lag_sys):
         self.model = lag_sys.model
         self.lag = lag_sys
-        self.params = params or NewtonParams()
         self._warm = None
-        self._w_inv = None
 
     def _match(self, x, p):
         # the velocity y with dL/dy(x, y) = p (Newton starts at the last
@@ -119,7 +114,7 @@ class InducedHamiltonian:
         if self.lag.constant_hessian is not None:
             y = list(self.lag.kernel("inverse")(*x, *p))
             return y, self.lag.kernel("legendre")(*x, *y)
-        y, out = _newton(self.lag, x, p, self._warm, self.params)
+        y, out = _newton(self.lag, x, p, self._warm)
         self._warm = y
         return y, out
 
@@ -133,15 +128,6 @@ class InducedHamiltonian:
         y, _ = self._match(x, p)
         dldx = self.lag.lagrangian.value_grad(x + y)[1][: len(x)]
         return -dldx, np.array(y)
-
-    def fibre_hessian(self, x, p):
-        """W^-1 at the matched velocity, solved column by column under the
-        regularity rule of the fibre solves; a constant W is solved once."""
-        y, out = self._match(*_floats(self.lag, x, p))
-        if self._w_inv is None or self.lag.constant_hessian is None:
-            w = out[1 + len(y) :]
-            self._w_inv = np.array([_fibre_solve(w, e) for e in np.eye(len(y)).tolist()]).T
-        return self._w_inv.copy()
 
     def motion_kernel(self):
         """The motion kernel, positional over (x, p), from the trees of
@@ -163,7 +149,7 @@ class InducedHamiltonian:
         return self.lag.kernel("induced")(*state, *y)
 
 
-def l_from_h(sys, a, section=None, guess=None, params=None):
+def l_from_h(sys, a, section=None):
     """Lagrangian reconstructed from a parsed HamiltonianSystem at a point
     of A.
 
@@ -180,7 +166,7 @@ def l_from_h(sys, a, section=None, guess=None, params=None):
     n = sys.model.chart.fibre_dim
     section = np.zeros(n) if section is None else np.asarray(section, dtype=float)
     try:
-        p, out = _newton(sys, *_floats(sys, a.x, a.y, guess), params)
+        p, out = _newton(sys, *_floats(sys, a.x, a.y), None)
     except SingularLagrangian:
         raise NewtonDivergence("momentum Hessian singular") from None
     p = np.array(p)

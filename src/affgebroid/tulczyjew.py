@@ -13,7 +13,7 @@ import numpy as np
 
 from .hamiltonian import reeb_section
 from .lagrangian import momentum_equation_rhs
-from .legendre import NewtonParams, leg_inverse
+from .legendre import leg_inverse
 from .model import JetPoint, PhasePoint, VStarPoint, _Point
 
 
@@ -81,7 +81,7 @@ class SubmanifoldResidual:
         return float(np.max(np.abs(np.concatenate([self.res_p, self.res_z, self.res_v]))))
 
 
-def s_l_residual(sys, p, params=None):
+def s_l_residual(sys, p):
     """Three-block membership test.
 
     res_p: momenta against dL/dy at the velocity slot.
@@ -89,9 +89,8 @@ def s_l_residual(sys, p, params=None):
     res_v: covelocities against the momentum-equation right side at the
     velocity slot.
     """
-    params = params or NewtonParams()
     res_p = p.p - sys.legendre_data(p.x, p.z)[1]
-    matched = leg_inverse(sys, VStarPoint(p.x, p.p), guess=p.z, params=params)
+    matched = leg_inverse(sys, VStarPoint(p.x, p.p), guess=p.z)
     res_z = p.z - matched.y
     res_v = p.w - momentum_equation_rhs(sys, p.x, p.z)
     return SubmanifoldResidual(point=p, res_p=res_p, res_z=res_z, res_v=res_v)

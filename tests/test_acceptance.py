@@ -27,7 +27,6 @@ from affgebroid.hamiltonian import (
 from affgebroid.lagrangian import cosymplectic_check_L, el_vector_field
 from affgebroid.legendre import (
     InducedHamiltonian,
-    NewtonParams,
     flow_commutation_check,
     leg,
     leg_inverse,
@@ -37,8 +36,6 @@ from affgebroid.tulczyjew import s_h_point, s_l_generator, s_l_residual, sigma
 from specs import random_spec
 
 BROKEN_JACOBI = str(Path(__file__).resolve().parent / "fixtures" / "broken_jacobi.json")
-
-TIGHT = NewtonParams(tol=1e-12, max_iter=50)
 
 
 def line(num, text, value, tol):
@@ -96,7 +93,7 @@ def test_criterion_03_legendre_round_trip():
     for entry in catalog.all_entries():
         for _ in range(100):
             a = entry.model.chart.sample_a(rng)
-            back = leg_inverse(entry.lag, leg(entry.lag, a), params=TIGHT)
+            back = leg_inverse(entry.lag, leg(entry.lag, a))
             worst = max(worst, float(np.max(np.abs(back.y - a.y))))
     assert line(3, "fibre-wise duality round trip, 100 points per example", worst, 1e-10)
 
@@ -106,13 +103,13 @@ def test_criterion_04_flow_commutation():
     osc = catalog.oscillator()
     gaps.append(
         flow_commutation_check(
-            InducedHamiltonian(osc.lag, params=TIGHT), APoint([0.0, 1.0], [0.0]), 1.0, 1e-3
+            InducedHamiltonian(osc.lag), APoint([0.0, 1.0], [0.0]), 1.0, 1e-3
         )
     )
     rb = catalog.rigid_body()
     gaps.append(
         flow_commutation_check(
-            InducedHamiltonian(rb.lag, params=TIGHT), APoint([0.0], [1.0, 1.0, 1.0]), 1.0, 1e-3
+            InducedHamiltonian(rb.lag), APoint([0.0], [1.0, 1.0, 1.0]), 1.0, 1e-3
         )
     )
     assert line(4, "duality intertwines the two flows on [0, 1]", max(gaps), 1e-5)
@@ -148,11 +145,11 @@ def test_criterion_06_submanifolds_coincide():
     gen_worst = 0.0
     cross_worst = 0.0
     for entry in catalog.all_entries():
-        ham = InducedHamiltonian(entry.lag, params=TIGHT)
+        ham = InducedHamiltonian(entry.lag)
         chart = entry.model.chart
         for _ in range(100):
             p = s_l_generator(entry.lag, chart.sample_a(rng))
-            gen_worst = max(gen_worst, s_l_residual(entry.lag, p, params=TIGHT).max_abs)
+            gen_worst = max(gen_worst, s_l_residual(entry.lag, p).max_abs)
             sh = s_h_point(ham, VStarPoint(p.x, p.p))
             cross_worst = max(
                 cross_worst,
@@ -162,7 +159,7 @@ def test_criterion_06_submanifolds_coincide():
             q = chart.sample_vstar(rng)
             ph = s_h_point(ham, q)
             cross_worst = max(
-                cross_worst, s_l_residual(entry.lag, ph, params=TIGHT).max_abs
+                cross_worst, s_l_residual(entry.lag, ph).max_abs
             )
     ok_gen = line(6, "generated points satisfy their own membership test", gen_worst, 1e-12)
     ok_cross = line(6, "Lagrangian and Hamiltonian submanifolds coincide", cross_worst, 1e-8)

@@ -694,7 +694,7 @@ FAULTS = [
     ("top_not_object", [1], VALIDATE, "config: expected a JSON object"),
     ("top_unknown_key", edited(OSC, {"integrater": {}}), VALIDATE,
      "config.integrater: unknown key (allowed: atiyah, chart, hamiltonian, initial, "
-     "integrator, lagrangian, newton, seed, structure)"),
+     "integrator, lagrangian, seed, structure)"),
     ("chart_missing", edited(OSC, {"chart": DROP}), VALIDATE, "config: chart is required"),
     ("chart_not_object", edited(OSC, {"chart": []}), VALIDATE, "chart: expected an object"),
     ("chart_unknown_key", edited(OSC, {"chart.basis": ["t"]}), VALIDATE,
@@ -837,18 +837,10 @@ FAULTS = [
      "integrator.atol: expected a number, got '1'"),
     ("rk45_t1_not_after_t0", edited(OSC, {"integrator": dict(RK45, t0=2.0)}), VALIDATE,
      "integrator: t1 must exceed t0"),
-    ("newton_not_object", edited(OSC, {"newton": []}), VALIDATE,
-     "newton: expected an object"),
-    ("newton_unknown_key", edited(OSC, {"newton.iters": 3}), VALIDATE,
-     "newton.iters: unknown key (allowed: max_iter, tol)"),
-    ("newton_tol_string", edited(OSC, {"newton.tol": "a"}), VALIDATE,
-     "newton.tol: expected a number, got 'a'"),
-    ("newton_tol_zero", edited(OSC, {"newton.tol": 0}), VALIDATE,
-     "newton.tol: must be positive"),
-    ("max_iter_zero", edited(OSC, {"newton.max_iter": 0}), VALIDATE,
-     "newton.max_iter: expected a positive integer"),
-    ("max_iter_float", edited(OSC, {"newton.max_iter": 1.5}), VALIDATE,
-     "newton.max_iter: expected a positive integer"),
+    # the Newton settings are constants of the package, not config
+    ("newton_section", edited(OSC, {"newton": {"tol": 1e-12, "max_iter": 50}}), VALIDATE,
+     "config.newton: unknown key (allowed: atiyah, chart, hamiltonian, initial, "
+     "integrator, lagrangian, seed, structure)"),
     ("seed_negative", edited(OSC, {"seed": -1}), VALIDATE,
      "seed: expected a nonnegative integer"),
     ("seed_string", edited(OSC, {"seed": "0"}), VALIDATE,
@@ -873,8 +865,6 @@ FAULTS = [
      "integrator.dt: expected a number, got nan"),
     ("t1_infinite", edited(OSC, {"integrator.t1": INF}), VALIDATE,
      "integrator.t1: expected a number, got inf"),
-    ("newton_tol_nan", edited(OSC, {"newton.tol": NAN}), ("legendre",),
-     "newton.tol: expected a number, got nan"),
     ("lagrangian_literal_overflow", edited(OSC, {"lagrangian": "1e400*y1^2"}), SIMULATE_L,
      "lagrangian: number '1e400' out of range at position 0"),
 ]

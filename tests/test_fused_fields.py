@@ -143,7 +143,7 @@ def test_l_from_h_refuses_a_singular_momentum_hessian():
     ham = HamiltonianSystem(ent.model, "0.5*p1^2 + 0.5e-14*p2^2 + 0.5*p3^2")
     lag = LagrangianSystem(ent.model, "0.5*y1^2 + 0.5e-14*y2^2 + 0.5*y3^2")
     a = APoint([0.0], [0.3, 0.2, 0.1])
-    assert not regularity(ham.fibre_hessian(a.x, a.y))[0]
+    assert not regularity(ham.legendre_data(a.x, a.y)[2])[0]
     assert not regularity(lag.legendre_data(a.x, a.y)[2])[0]
     with pytest.raises(NewtonDivergence, match="momentum Hessian singular"):
         l_from_h(ham, a)
@@ -280,16 +280,17 @@ def test_singular_fibre_hessian_raises_from_the_field():
 
 
 def test_induced_fibre_hessian_follows_the_regularity_rule():
-    # W^-1 of the induced Hamiltonian is refused as every fibre solve is:
-    # W = 3 y^2 is exactly singular at y = 0, and diag(1, 1e-13) is above
-    # the condition limit
+    # the fibre Hessian W_H = W^-1 of the induced Hamiltonian exists where W
+    # passes the rule of every fibre solve, and the match is refused where it
+    # fails: W = 3 y^2 is exactly singular at the Newton start y = 0, and
+    # diag(1, 1e-13) is above the condition limit
     line = AffgebroidModel(Chart(["t"], 1), ["1"], [["0"]])
     quartic = InducedHamiltonian(LagrangianSystem(line, "0.25*y1^4"))
     with pytest.raises(SingularLagrangian, match="fibre Hessian singular"):
-        quartic.fibre_hessian([0.0], [0.0])
+        quartic.grad([0.0], [1.0])
     plane = AffgebroidModel(Chart(["t"], 2), ["1"], [["0"], ["0"]])
     stiff = InducedHamiltonian(LagrangianSystem(plane, "0.5*y1^2 + 0.5e-13*y2^2"))
     with pytest.raises(SingularLagrangian, match="condition number 1.000e\\+13"):
-        stiff.fibre_hessian([0.0], [0.0, 0.0])
+        stiff.grad([0.0], [1.0, 1.0])
     regular = InducedHamiltonian(LagrangianSystem(plane, "0.5*y1^2 + y2^2"))
-    assert np.array_equal(regular.fibre_hessian([0.0], [0.0, 0.0]), np.diag([1.0, 0.5]))
+    assert np.array_equal(regular.grad([0.0], [1.0, 1.0])[1], [1.0, 0.5])

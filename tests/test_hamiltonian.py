@@ -111,4 +111,3 @@ def test_legendre_data_is_the_momentum_block_of_the_full_derivatives(ent):
         assert h == d.val
         assert np.array_equal(dhdp, d.grad[m:])
         assert np.array_equal(w, d.hess[m:, m:])
-        assert np.array_equal(ent.ham.fibre_hessian(v.x, v.p), w)

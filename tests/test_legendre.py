@@ -14,8 +14,9 @@ from affgebroid.hamiltonian import (
 from affgebroid.flow import integrate_rk4
 from affgebroid.lagrangian import LagrangianSystem, el_vector_field
 from affgebroid.legendre import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     InducedHamiltonian,
-    NewtonParams,
     _newton,
     flow_commutation_check,
     l_from_h,
@@ -69,9 +70,10 @@ def test_induced_hamiltonian_matches_closed_form(maker):
         gx2, gp2 = ent.ham.grad(v.x, v.p)
         assert np.max(np.abs(gx1 - gx2)) < 1e-9
         assert np.max(np.abs(gp1 - gp2)) < 1e-9
-        w1 = ham.fibre_hessian(v.x, v.p)
-        w2 = ent.ham.fibre_hessian(v.x, v.p)
-        assert np.max(np.abs(w1 - w2)) < 1e-9
+        # W_H = W^-1 at the matched velocity y = dH/dp
+        w = ent.lag.legendre_data(v.x, gp1)[2]
+        w_h = ent.ham.legendre_data(v.x, v.p)[2]
+        assert np.max(np.abs(w_h @ w - np.eye(len(w)))) < 1e-9
 
 
 def test_induced_field_call_makes_no_derivs_call(monkeypatch):
@@ -144,7 +146,7 @@ def test_fh_inverts_leg(maker):
         v = leg(ent.lag, a)
         back = ent.ham.grad(v.x, v.p)[1]
         assert np.max(np.abs(back - a.y)) < 1e-12
-        assert np.linalg.det(ent.ham.fibre_hessian(v.x, v.p)) != 0.0
+        assert np.linalg.det(ent.ham.legendre_data(v.x, v.p)[2]) != 0.0
 
 
 @pytest.mark.parametrize("maker", PAIRED)
@@ -178,12 +180,12 @@ def test_l_from_h_reads_only_the_legendre_kernel_of_h(maker, monkeypatch):
 
 @pytest.mark.parametrize("ent", all_entries() + [quartic_entry()], ids=lambda e: e.name)
 def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch):
-    # value and fibre_hessian read L and W from the "legendre" kernel output
-    # at the matched velocity.  On the Newton path (the quartic L) that is
-    # the last iterate: they make the "legendre" kernel calls that a
-    # leg_inverse from the same start makes, one per residual.  For a
-    # constant W, leg_inverse makes one "inverse" kernel call, and they make
-    # that call and one "legendre" call.  Nothing else evaluates L
+    # value reads L from the "legendre" kernel output at the matched
+    # velocity, which also holds W there.  On the Newton path (the quartic L)
+    # that is the last iterate: value makes the "legendre" kernel calls that
+    # a leg_inverse from the same start makes, one per residual.  For a
+    # constant W, leg_inverse makes one "inverse" kernel call, and value
+    # makes that call and one "legendre" call.  Nothing else evaluates L
     newton = ent.lag.constant_hessian is None
     assert newton == (ent.name == "twisted_line-quartic")
     calls = Counter()
@@ -198,21 +200,27 @@ def test_induced_value_and_fibre_hessian_reuse_the_newton_data(ent, monkeypatch)
         return call
 
     monkeypatch.setattr(LagrangianSystem, "kernel", counted)
+    n = ent.model.chart.fibre_dim
     for v in sample_v(ent, 5, seed=14):
         v.p *= 3.0
-        for method in ("value", "fibre_hessian"):
-            calls.clear()
-            leg_inverse(ent.lag, v)
-            if newton:
-                residuals = calls["legendre"]
-                assert calls == Counter(legendre=residuals) and residuals >= 1
-                want = Counter(legendre=residuals)
-            else:
-                assert calls == Counter(inverse=1)
-                want = Counter(inverse=1, legendre=1)
-            calls.clear()
-            getattr(InducedHamiltonian(ent.lag), method)(v.x, v.p)
-            assert calls == want, method
+        calls.clear()
+        leg_inverse(ent.lag, v)
+        if newton:
+            residuals = calls["legendre"]
+            assert calls == Counter(legendre=residuals) and residuals >= 1
+            want = Counter(legendre=residuals)
+        else:
+            assert calls == Counter(inverse=1)
+            want = Counter(inverse=1, legendre=1)
+        calls.clear()
+        InducedHamiltonian(ent.lag).value(v.x, v.p)
+        assert calls == want
+        # the match gives W at the matched velocity with those same calls
+        calls.clear()
+        y, out = InducedHamiltonian(ent.lag)._match(v.x.tolist(), v.p.tolist())
+        assert calls == want
+        w = np.reshape(out[1 + n :], (n, n))
+        assert np.array_equal(w, ent.lag.legendre_data(v.x, y)[2])
 
 
 def test_l_from_h_section_independent():
@@ -289,6 +297,11 @@ def test_newton_divergence_on_degenerate_hamiltonian():
         l_from_h(flat, APoint([0.0, 0.0], [0.5]))
 
 
+def test_newton_settings_are_the_package_constants():
+    assert NEWTON_TOL == 1e-12
+    assert NEWTON_MAX_ITER == 50
+
+
 def test_warm_start_is_deterministic():
     ent = rigid_body()
     ham1 = InducedHamiltonian(ent.lag)
@@ -312,7 +325,7 @@ def test_warm_start_agrees_with_cold_start_along_a_path():
     ent = twisted_line()
     quart = LagrangianSystem(ent.model, "0.5*y1^2 + 0.5*y2^2 + 0.25*y1^4 + 0.1*y2^4 + x*y1")
     warm = InducedHamiltonian(quart)
-    tol = warm.params.tol
+    tol = NEWTON_TOL
     for s in np.linspace(0.0, 1.0, 41):
         x, p = [0.5 + 0.4 * s], [2.0 * np.sin(3.0 * s), 1.5 - 3.0 * s]
         cold = InducedHamiltonian(quart)
@@ -335,7 +348,7 @@ def _newton_reference(lag, v):
     # y, H, dH/dx and dH/dp at (x, p) from the Newton solve, as the Newton
     # path of InducedHamiltonian reads them
     x, p = v.x.tolist(), v.p.tolist()
-    y, out = _newton(lag, x, p, None, NewtonParams())
+    y, out = _newton(lag, x, p, None)
     dldx = lag.lagrangian._kernel(1)(*x, *y)[1 : 1 + len(x)]
     return np.array(y), float(v.p @ np.array(y)) - out[0], -np.array(dldx)
 
@@ -382,27 +395,3 @@ def test_catalog_hamiltonian_is_the_legendre_image_of_its_lagrangian(ent):
     induced = InducedHamiltonian(ent.lag)
     for v in sample_v(ent, 20, seed=17):
         assert abs(ent.ham.value(v.x, v.p) - induced.value(v.x, v.p)) <= 1e-12
-
-
-@pytest.mark.parametrize("ent", [e for e in all_entries() if e.lag.constant_hessian is not None],
-                         ids=lambda e: e.name)
-def test_induced_fibre_hessian_solves_a_constant_w_once(ent, monkeypatch):
-    # W^-1 is the unit solves of the constant W, bit for bit, and no call
-    # after the first makes an LU
-    from affgebroid import lagrangian
-
-    n = ent.model.chart.fibre_dim
-    w = ent.lag.constant_hessian
-    want = np.array([lagrangian._fibre_solve(w, e) for e in np.eye(n).tolist()]).T
-    calls = []
-    lu = lagrangian.fibre_lu
-    monkeypatch.setattr(lagrangian, "fibre_lu", lambda k: calls.append(k) or lu(k))
-    ham = InducedHamiltonian(ent.lag)
-    points = sample_v(ent, 6, seed=21)
-    assert np.array_equal(ham.fibre_hessian(points[0].x, points[0].p), want)
-    first = len(calls)
-    for v in points[1:]:
-        got = ham.fibre_hessian(v.x, v.p)
-        assert np.array_equal(got, want)
-        got[0, 0] = np.nan  # a caller's copy
-    assert len(calls) == first
